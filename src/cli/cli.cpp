@@ -53,6 +53,49 @@ Result<std::vector<Bitmap>> bitmaps_at(const std::vector<TrafficRecord>& all,
   return out;
 }
 
+/// A comma-separated list of unsigned integers ("7,8,9").
+Result<std::vector<std::uint64_t>> parse_u64_list(const std::string& text,
+                                                  const std::string& what) {
+  std::vector<std::uint64_t> values;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const std::size_t comma = text.find(',', pos);
+    const std::string token = text.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
+    if (end == token.c_str() || *end != '\0') {
+      return Status{ErrorCode::kInvalidArgument,
+                    what + ": bad list token: " + token};
+    }
+    values.push_back(static_cast<std::uint64_t>(value));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return values;
+}
+
+/// The optional `--key FILE --cert FILE` pair that authenticates a client
+/// against a --require-auth daemon; nullopt when neither is given.
+Result<std::optional<transport::AuthCredentials>> load_client_credentials(
+    const Config& flags, const std::string& command) {
+  auto key_path = flags.get_string_or("key", "");
+  if (!key_path) return key_path.status();
+  auto cert_path = flags.get_string_or("cert", "");
+  if (!cert_path) return cert_path.status();
+  if (key_path->empty() != cert_path->empty()) {
+    return Status{ErrorCode::kInvalidArgument,
+                  command + ": --key and --cert must be given together"};
+  }
+  if (key_path->empty()) return std::optional<transport::AuthCredentials>{};
+  auto keys = load_keypair_file(*key_path);
+  if (!keys) return keys.status();
+  auto cert = load_certificate_file(*cert_path);
+  if (!cert) return cert.status();
+  return std::optional<transport::AuthCredentials>{
+      transport::AuthCredentials{std::move(*keys), std::move(*cert)}};
+}
+
 /// Feeds every record of a log into the service.  Duplicate
 /// (location, period) pairs are skipped - a log may legitimately contain
 /// them after partial rewrites, and the pre-QueryService CLI silently kept
@@ -288,23 +331,9 @@ Status cmd_corridor(const Config& flags, std::ostream& out) {
   auto s = flags.get_u64_or("s", 3);
   if (!s) return s.status();
 
-  // Parse the comma-separated location list.
-  std::vector<std::uint64_t> locations;
-  std::size_t pos = 0;
-  while (pos <= locations_raw->size()) {
-    const std::size_t comma = locations_raw->find(',', pos);
-    const std::string token = locations_raw->substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
-      return {ErrorCode::kInvalidArgument,
-              "corridor: bad location token: " + token};
-    }
-    locations.push_back(static_cast<std::uint64_t>(value));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  auto parsed = parse_u64_list(*locations_raw, "corridor");
+  if (!parsed) return parsed.status();
+  const std::vector<std::uint64_t> locations = std::move(*parsed);
   if (locations.size() < 2) {
     return {ErrorCode::kInvalidArgument,
             "corridor needs at least two --locations"};
@@ -665,15 +694,9 @@ Status cmd_ping(const Config& flags, std::ostream& out) {
   if (!timeout_ms) return timeout_ms.status();
   auto format = flags.get_string_or("format", "text");
   if (!format) return format.status();
-  auto key_path = flags.get_string_or("key", "");
-  if (!key_path) return key_path.status();
-  auto cert_path = flags.get_string_or("cert", "");
-  if (!cert_path) return cert_path.status();
   if (*count < 1) return {ErrorCode::kInvalidArgument, "ping: need count >= 1"};
-  if (key_path->empty() != cert_path->empty()) {
-    return {ErrorCode::kInvalidArgument,
-            "ping: --key and --cert must be given together"};
-  }
+  auto credentials = load_client_credentials(flags, "ping");
+  if (!credentials) return credentials.status();
 
   auto endpoint = transport::parse_endpoint(*endpoint_text);
   if (!endpoint) return endpoint.status();
@@ -683,14 +706,7 @@ Status cmd_ping(const Config& flags, std::ostream& out) {
   tuning.io_timeout_ms = *timeout_ms;
   tuning.heartbeat_timeout_ms = *timeout_ms;
   transport::SupervisedConnection conn(*endpoint, tuning);
-  if (!key_path->empty()) {
-    auto keys = load_keypair_file(*key_path);
-    if (!keys) return keys.status();
-    auto cert = load_certificate_file(*cert_path);
-    if (!cert) return cert.status();
-    conn.set_credentials(
-        transport::AuthCredentials{std::move(*keys), std::move(*cert)});
-  }
+  conn.set_credentials(std::move(*credentials));
   if (Status s = conn.ensure_connected(
           Deadline::after(std::chrono::milliseconds(*timeout_ms)));
       !s.is_ok()) {
@@ -737,6 +753,156 @@ Status cmd_ping(const Config& flags, std::ostream& out) {
   return Status::ok();
 }
 
+/// The QueryRequest `ptmctl query` flags describe.
+Result<QueryRequest> query_from_flags(const Config& flags,
+                                      const Deadline& deadline) {
+  auto shape = flags.get_string("shape");
+  if (!shape) return shape.status();
+  auto skip = flags.get_u64_or("skip_missing", 0);
+  if (!skip) return skip.status();
+  const MissingPolicy missing =
+      *skip != 0 ? MissingPolicy::kSkipMissing : MissingPolicy::kFail;
+  const auto list = [&](const char* key) {
+    auto text = flags.get_string(key);
+    if (!text) return Result<std::vector<std::uint64_t>>(text.status());
+    return parse_u64_list(*text, std::string("query --") + key);
+  };
+  if (*shape == "p2p") {
+    auto from = flags.get_u64("from");
+    if (!from) return from.status();
+    auto to = flags.get_u64("to");
+    if (!to) return to.status();
+    auto periods = list("periods");
+    if (!periods) return periods.status();
+    return QueryRequest{
+        P2PPersistentQuery{*from, *to, std::move(*periods), deadline}};
+  }
+  if (*shape == "corridor") {
+    auto locations = list("locations");
+    if (!locations) return locations.status();
+    auto periods = list("periods");
+    if (!periods) return periods.status();
+    return QueryRequest{CorridorQuery{std::move(*locations),
+                                      std::move(*periods), missing, deadline}};
+  }
+  auto location = flags.get_u64("location");
+  if (!location) return location.status();
+  if (*shape == "volume") {
+    auto period = flags.get_u64("period");
+    if (!period) return period.status();
+    return QueryRequest{PointVolumeQuery{*location, *period, deadline}};
+  }
+  if (*shape == "persistent") {
+    auto periods = list("periods");
+    if (!periods) return periods.status();
+    return QueryRequest{PointPersistentQuery{*location, std::move(*periods),
+                                             missing, deadline}};
+  }
+  if (*shape == "recent") {
+    auto window = flags.get_u64("window");
+    if (!window) return window.status();
+    return QueryRequest{RecentPersistentQuery{
+        *location, static_cast<std::size_t>(*window), missing, deadline}};
+  }
+  return Status{ErrorCode::kInvalidArgument,
+                "query: --shape must be volume, persistent, recent, p2p or "
+                "corridor"};
+}
+
+/// One query-call round trip to a single ptmd.
+Result<QueryResponse> query_endpoint(const std::string& endpoint_text,
+                                     const QueryRequest& request,
+                                     transport::ConnectionTuning tuning,
+                                     std::optional<transport::AuthCredentials>
+                                         credentials) {
+  // The daemon refuses an oversize request too, but the call carrying it
+  // might not fit in a frame.
+  if (Status s = check_query_bounds(request); !s.is_ok()) return s;
+  auto endpoint = transport::parse_endpoint(endpoint_text);
+  if (!endpoint) return endpoint.status();
+  transport::SupervisedConnection conn(*endpoint, tuning);
+  conn.set_credentials(std::move(credentials));
+  const Deadline& deadline = query_deadline(request);
+  if (Status s = conn.ensure_connected(deadline); !s.is_ok()) {
+    return Status{s.code(), "query: cannot reach ptmd at " +
+                                endpoint->to_string() + " (" + s.message() +
+                                ")"};
+  }
+  if (Status s = conn.send(transport::QueryCall{1, request, deadline});
+      !s.is_ok()) {
+    return s;
+  }
+  auto reply = conn.await_reply<transport::QueryReply>(1, deadline);
+  if (!reply) return reply.status();
+  return std::move(reply->response);
+}
+
+Status cmd_query(const Config& flags, std::ostream& out) {
+  auto endpoint = flags.get_string_or("endpoint", "");
+  if (!endpoint) return endpoint.status();
+  auto spec = flags.get_string_or("cluster", "");
+  if (!spec) return spec.status();
+  auto timeout_ms = flags.get_u64_or("timeout_ms", 5000);
+  if (!timeout_ms) return timeout_ms.status();
+  if (endpoint->empty() == spec->empty()) {
+    return {ErrorCode::kInvalidArgument,
+            "query: give exactly one of --endpoint EP or --cluster SPEC"};
+  }
+  auto credentials = load_client_credentials(flags, "query");
+  if (!credentials) return credentials.status();
+  const Deadline deadline =
+      Deadline::after(std::chrono::milliseconds(*timeout_ms));
+  auto request = query_from_flags(flags, deadline);
+  if (!request) return request.status();
+
+  transport::ConnectionTuning tuning;
+  tuning.connect_timeout_ms = *timeout_ms;
+  tuning.io_timeout_ms = *timeout_ms;
+  QueryResponse response;
+  if (!endpoint->empty()) {
+    auto answered =
+        query_endpoint(*endpoint, *request, tuning, std::move(*credentials));
+    if (!answered) return answered.status();
+    response = std::move(*answered);
+  } else {
+    auto config = cluster::parse_cluster_spec(*spec);
+    if (!config) return config.status();
+    cluster::ClusterCoordinatorOptions options;
+    options.config = std::move(*config);
+    options.tuning = tuning;
+    options.credentials = std::move(*credentials);
+    cluster::ClusterCoordinator coordinator(std::move(options));
+    response = coordinator.run(*request);
+  }
+
+  const CoverageReport& coverage = response.coverage;
+  const auto join = [](const std::vector<std::uint64_t>& periods) {
+    std::string text;
+    for (std::uint64_t p : periods) {
+      if (!text.empty()) text += ',';
+      text += std::to_string(p);
+    }
+    return text;
+  };
+  if (!response.ok()) {
+    if (!coverage.missing.empty()) {
+      out << "missing periods: " << join(coverage.missing) << "\n";
+    }
+    return response.status;
+  }
+  out << query_kind_name(*request) << ": "
+      << format_estimate_summary(response.summary) << "\n";
+  if (!coverage.requested.empty()) {
+    out << "coverage: " << coverage.present.size() << "/"
+        << coverage.requested.size() << " periods present";
+    if (!coverage.missing.empty()) {
+      out << " (missing " << join(coverage.missing) << ")";
+    }
+    out << "\n";
+  }
+  return Status::ok();
+}
+
 /// cluster-status is a health gate: the report prints either way, but the
 /// exit code must say "degraded" when any member is down.
 Status unreachable_status(const std::vector<cluster::NodeStatus>& statuses) {
@@ -757,14 +923,8 @@ Status cmd_cluster_status(const Config& flags, std::ostream& out) {
   if (!timeout_ms) return timeout_ms.status();
   auto format = flags.get_string_or("format", "text");
   if (!format) return format.status();
-  auto key_path = flags.get_string_or("key", "");
-  if (!key_path) return key_path.status();
-  auto cert_path = flags.get_string_or("cert", "");
-  if (!cert_path) return cert_path.status();
-  if (key_path->empty() != cert_path->empty()) {
-    return {ErrorCode::kInvalidArgument,
-            "cluster-status: --key and --cert must be given together"};
-  }
+  auto credentials = load_client_credentials(flags, "cluster-status");
+  if (!credentials) return credentials.status();
 
   auto config = cluster::parse_cluster_spec(*spec_text);
   if (!config) return config.status();
@@ -773,14 +933,7 @@ Status cmd_cluster_status(const Config& flags, std::ostream& out) {
   options.config = std::move(*config);
   options.tuning.connect_timeout_ms = *timeout_ms;
   options.tuning.io_timeout_ms = *timeout_ms;
-  if (!key_path->empty()) {
-    auto keys = load_keypair_file(*key_path);
-    if (!keys) return keys.status();
-    auto cert = load_certificate_file(*cert_path);
-    if (!cert) return cert.status();
-    options.credentials =
-        transport::AuthCredentials{std::move(*keys), std::move(*cert)};
-  }
+  options.credentials = std::move(*credentials);
   cluster::ClusterCoordinator coordinator(std::move(options));
   const auto statuses = coordinator.cluster_status(
       Deadline::after(std::chrono::milliseconds(*timeout_ms *
@@ -843,22 +996,8 @@ Status cmd_auth_init(const Config& flags, std::ostream& out) {
   auto valid_until = flags.get_u64_or("valid_until", 1'000'000);
   if (!valid_until) return valid_until.status();
 
-  std::vector<std::uint64_t> locations;
-  std::size_t pos = 0;
-  while (pos <= locations_raw->size()) {
-    const std::size_t comma = locations_raw->find(',', pos);
-    const std::string token = locations_raw->substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
-      return {ErrorCode::kInvalidArgument,
-              "auth-init: bad location token: " + token};
-    }
-    locations.push_back(static_cast<std::uint64_t>(value));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  auto locations = parse_u64_list(*locations_raw, "auth-init");
+  if (!locations) return locations.status();
 
   if (::mkdir(dir->c_str(), 0755) != 0 && errno != EEXIST) {
     return {ErrorCode::kInternal,
@@ -891,7 +1030,7 @@ Status cmd_auth_init(const Config& flags, std::ostream& out) {
     return Status::ok();
   };
 
-  for (const std::uint64_t location : locations) {
+  for (const std::uint64_t location : *locations) {
     if (Status s = mint("rsu" + std::to_string(location),
                         "rsu:" + std::to_string(location), location);
         !s.is_ok()) {
@@ -951,6 +1090,17 @@ commands:
                                            lag; SPEC like
                                            1@unix:/a.sock@unix:/a-repl.sock;
                                            2@tcp:127.0.0.1:7101)
+  query       query a live ptmd or cluster
+              (--endpoint EP | --cluster SPEC)
+              --shape volume      --location L --period P
+              --shape persistent  --location L --periods P1,P2,...
+              --shape recent      --location L --window W
+              --shape p2p         --from L --to L2 --periods P1,P2,...
+              --shape corridor    --locations L1,L2,... --periods P1,...
+              [--skip_missing 1] [--timeout_ms N] [--key FILE --cert FILE]
+                                          (one query-call to a ptmd, or a
+                                           pushed-down cluster query; prints
+                                           the estimate and its coverage)
   auth-init   mint a test PKI             --dir DIR [--seed N] [--bits N]
                                           [--locations L1,L2,...]
                                           [--valid_from P] [--valid_until P]
@@ -984,6 +1134,7 @@ Status run_cli(const std::vector<std::string>& args, std::ostream& out) {
   if (command == "recover") return cmd_recover(*flags, out);
   if (command == "ping") return cmd_ping(*flags, out);
   if (command == "cluster-status") return cmd_cluster_status(*flags, out);
+  if (command == "query") return cmd_query(*flags, out);
   if (command == "auth-init") return cmd_auth_init(*flags, out);
   return {ErrorCode::kInvalidArgument,
           "unknown command: " + command + " (try `ptmctl help`)"};

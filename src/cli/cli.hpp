@@ -13,6 +13,7 @@
 //   ping       - probe a running ptmd: heartbeat RTTs + counter snapshot
 //   cluster-status - poll every node of a ptmd cluster: reachability,
 //                ring share, replication counters and lag
+//   query      - run one query against a live ptmd or cluster
 //
 // Flags are `--key value` pairs after the subcommand; `--config file`
 // preloads keys from a key=value file, with explicit flags overriding.

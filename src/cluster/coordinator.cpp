@@ -1,8 +1,7 @@
 #include "cluster/coordinator.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <set>
+#include <type_traits>
 #include <variant>
 
 #include "net/mac.hpp"
@@ -23,44 +22,12 @@ constexpr MacAddress kServerMac{0x02ULL << 40 | 0x53525600ULL};  // "SRV"
 /// cannot eat the whole query's time.
 Deadline bounded(const Deadline& outer, std::chrono::milliseconds budget) {
   const Deadline local = Deadline::after(budget);
-  if (outer.unbounded()) return local;
-  return outer.time_point() < local.time_point()
-             ? outer
-             : Deadline::at(local.time_point());
+  return local.time_point() < outer.time_point() ? local : outer;
 }
 
-/// The locations and explicit periods a request needs gathered.  An empty
-/// period list means "every stored period" (the rolling recent window is
-/// only resolvable against the full per-location history).
-struct FetchPlan {
-  std::vector<std::uint64_t> locations;
-  std::vector<std::uint64_t> periods;
-};
-
-FetchPlan fetch_plan(const QueryRequest& request) {
-  return std::visit(
-      [](const auto& q) -> FetchPlan {
-        using T = std::decay_t<decltype(q)>;
-        if constexpr (std::is_same_v<T, PointVolumeQuery>) {
-          return {{q.location}, {q.period}};
-        } else if constexpr (std::is_same_v<T, PointPersistentQuery>) {
-          return {{q.location}, q.periods};
-        } else if constexpr (std::is_same_v<T, RecentPersistentQuery>) {
-          return {{q.location}, {}};
-        } else if constexpr (std::is_same_v<T, P2PPersistentQuery>) {
-          return {{q.location_a, q.location_b}, q.periods};
-        } else {
-          return {q.locations, q.periods};
-        }
-      },
-      request);
-}
-
-std::vector<std::uint64_t> sorted_unique(std::vector<std::uint64_t> v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
-}
+/// Per-node attempt budget: one dead or stalled node costs at most this
+/// before the call fails over to the next replica.
+constexpr auto kAttemptBudget = 1000ms;
 
 }  // namespace
 
@@ -98,7 +65,7 @@ Status ClusterCoordinator::ingest(const TrafficRecord& record,
     }
     NodeLink* link = link_for(node_id);
     if (link == nullptr) continue;
-    const Deadline attempt = bounded(deadline, 1000ms);
+    const Deadline attempt = bounded(deadline, kAttemptBudget);
     const Status connected = link->conn->ensure_connected(attempt);
     if (!connected.is_ok()) {
       last = connected;
@@ -123,85 +90,117 @@ Status ClusterCoordinator::ingest(const TrafficRecord& record,
   return last;
 }
 
-Result<std::vector<TrafficRecord>> ClusterCoordinator::fetch_location(
-    std::uint64_t location, std::span<const std::uint64_t> periods,
-    const Deadline& deadline) {
-  Status last{ErrorCode::kChannelError, "no replica reachable"};
-  for (std::uint64_t node_id : map_.replicas(location)) {
-    if (deadline.expired_now()) {
-      return Status{ErrorCode::kDeadlineExceeded, "cluster fetch deadline"};
-    }
-    NodeLink* link = link_for(node_id);
-    if (link == nullptr) continue;
-    const Deadline attempt = bounded(deadline, 1000ms);
-    const Status connected = link->conn->ensure_connected(attempt);
-    if (!connected.is_ok()) {
-      last = connected;
-      continue;
-    }
-    transport::RecordsRequest request;
-    request.location = location;
-    request.periods.assign(periods.begin(), periods.end());
-    if (!link->conn->send(request).is_ok()) {
-      last = Status{ErrorCode::kChannelError, "records-request send failed"};
-      continue;
-    }
-    // Skip unrelated inbound traffic (stale acks after a reconnect) until
-    // the matching response; any channel casualty fails over.
-    for (;;) {
-      auto message = link->conn->receive(attempt);
-      if (!message) {
-        last = message.status();
-        break;
+template <typename Reply, typename MakeCall>
+std::vector<std::optional<Reply>> ClusterCoordinator::call_owners(
+    std::span<const std::uint64_t> locations, const Deadline& deadline,
+    const MakeCall& make_call) {
+  struct Call {
+    std::size_t tried = 0;     ///< replicas already asked, owner first
+    NodeLink* link = nullptr;  ///< where the call in flight went
+    std::uint64_t id = 0;
+    Deadline attempt;
+  };
+  std::vector<std::optional<Reply>> replies(locations.size());
+  std::vector<Call> calls(locations.size());
+  std::map<std::uint64_t, Reply> early;
+  for (;;) {
+    // Every unanswered location's call goes to its next replica before any
+    // reply is awaited, so the owners work concurrently.
+    bool in_flight = false;
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      Call& call = calls[i];
+      const std::vector<std::uint64_t> replicas = map_.replicas(locations[i]);
+      while (!replies[i] && call.link == nullptr &&
+             call.tried < replicas.size() && !deadline.expired_now()) {
+        NodeLink* link = link_for(replicas[call.tried++]);
+        if (link == nullptr) continue;
+        const Deadline attempt = bounded(deadline, kAttemptBudget);
+        if (!link->conn->ensure_connected(attempt).is_ok()) continue;
+        const std::uint64_t id = ++next_call_id_;
+        if (!link->conn->send(make_call(locations[i], id, attempt)).is_ok()) {
+          continue;
+        }
+        call.link = link;
+        call.id = id;
+        call.attempt = attempt;
       }
-      const auto* resp = std::get_if<transport::RecordsResponse>(&*message);
-      if (resp == nullptr || resp->location != location) continue;
-      std::vector<TrafficRecord> records;
-      records.reserve(resp->records.size());
-      for (const std::vector<std::uint8_t>& blob : resp->records) {
-        auto record = TrafficRecord::deserialize(blob);
-        // A blob that fails to decode is that node's corruption; the
-        // scratch run treats its period as missing.
-        if (record) records.push_back(std::move(*record));
-      }
-      return records;
+      in_flight |= call.link != nullptr;
+    }
+    if (!in_flight) return replies;
+    // A failed await leaves the location for the next round's replica.
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      Call& call = calls[i];
+      if (call.link == nullptr) continue;
+      auto reply = call.link->conn->template await_reply<Reply>(
+          call.id, call.attempt, &early);
+      call.link = nullptr;
+      if (reply) replies[i] = std::move(*reply);
     }
   }
-  return last;
 }
 
 QueryResponse ClusterCoordinator::run(const QueryRequest& request) {
-  const FetchPlan plan = fetch_plan(request);
+  const auto start = std::chrono::steady_clock::now();
   const Deadline& deadline = query_deadline(request);
-
-  // Stage the gathered records in a scratch service and run the request
-  // through the exact single-node execution path.
-  QueryService scratch(options_.service);
-  bool any_location_unreached = false;
-  for (std::uint64_t location : sorted_unique(plan.locations)) {
-    auto records = fetch_location(location, plan.periods, deadline);
-    if (!records) {
-      any_location_unreached = true;
-      continue;
-    }
-    for (const TrafficRecord& record : *records) {
-      (void)scratch.ingest(record);
-    }
+  if (Status bounds = check_query_bounds(request); !bounds.is_ok()) {
+    return QueryResponse{std::move(bounds)};
   }
-
-  QueryResponse response = scratch.run(request);
+  bool unreached = false;
+  // The owners' first-level joins; a location whose every replica failed
+  // counts as storing nothing.
+  const JoinSource owner_joins =
+      [&](std::span<const std::uint64_t> locations,
+          const std::vector<std::uint64_t>& periods) {
+        auto replies = call_owners<transport::JoinReply>(
+            locations, deadline,
+            [&](std::uint64_t location, std::uint64_t id,
+                const Deadline& attempt) -> transport::WireMessage {
+              return transport::JoinCall{id, location, periods, attempt};
+            });
+        std::vector<std::optional<LocationJoin>> joins(replies.size());
+        for (std::size_t i = 0; i < replies.size(); ++i) {
+          if (replies[i]) joins[i] = std::move(replies[i]->join);
+          unreached |= !replies[i];
+        }
+        return joins;
+      };
+  QueryResponse response = std::visit(
+      [&](const auto& q) -> QueryResponse {
+        using T = std::decay_t<decltype(q)>;
+        if constexpr (std::is_same_v<T, P2PPersistentQuery> ||
+                      std::is_same_v<T, CorridorQuery>) {
+          QueryResponse joined = run_two_level(q, options_.s, owner_joins);
+          joined.latency_ns = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count());
+          return joined;
+        } else {
+          // One location, one partition: the owner's answer is the answer.
+          auto replies = call_owners<transport::QueryReply>(
+              std::span<const std::uint64_t>(&q.location, 1), deadline,
+              [&](std::uint64_t, std::uint64_t id,
+                  const Deadline& attempt) -> transport::WireMessage {
+                return transport::QueryCall{id, request, attempt};
+              });
+          if (replies[0]) return std::move(replies[0]->response);
+          unreached = true;
+          return QueryResponse{
+              deadline.expired_now()
+                  ? Status{ErrorCode::kDeadlineExceeded,
+                           "cluster query deadline"}
+                  : Status{ErrorCode::kChannelError, "no replica reachable"}};
+        }
+      },
+      request);
 
   // Fetch-stage coverage: a location with no reachable replica leaves
-  // every requested period uncovered (corridor semantics - a period is
+  // every named period uncovered (corridor semantics - a period is
   // present only when every location holds it), which merge_coverage
   // folds into the response instead of failing the query outright.
   CoverageReport fetch_report;
-  fetch_report.requested = sorted_unique(plan.periods);
-  if (any_location_unreached) {
-    fetch_report.missing = fetch_report.requested;
-  } else {
-    fetch_report.present = fetch_report.requested;
-  }
+  fetch_report.requested = query_named_periods(request);
+  if (unreached) fetch_report.missing = fetch_report.requested;
   response.coverage = merge_coverage(response.coverage, fetch_report);
   return response;
 }
@@ -215,7 +214,7 @@ std::vector<NodeStatus> ClusterCoordinator::cluster_status(
     status.client_endpoint = link.spec.client.to_string();
     status.repl_endpoint = link.spec.repl.to_string();
     status.vnodes = map_.vnode_count(link.node_id);
-    const Deadline attempt = bounded(deadline, 1000ms);
+    const Deadline attempt = bounded(deadline, kAttemptBudget);
     if (link.conn->ensure_connected(attempt).is_ok() &&
         link.conn->send(transport::StatsRequest{}).is_ok()) {
       for (;;) {

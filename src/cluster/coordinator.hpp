@@ -10,17 +10,29 @@
 //     replica accepting the upload is durable (write-ahead archive on
 //     that node), so "owner down" costs a redial, not a loss.
 //
-//   * scatter-gather queries - a query's estimator math (persistent
-//     intersections, p2p/corridor encoding) is not decomposable into
-//     per-node partial estimates, so the coordinator gathers the raw
-//     *records* instead: for each location the query touches it fetches
-//     the needed (location, period) records from the owner (failing over
-//     to replicas), stages them in a scratch in-memory QueryService, and
-//     runs the request locally - the exact single-node execution path,
-//     byte-identical estimates.  A partition with no reachable replica
-//     degrades the answer: its periods are folded into the response's
-//     CoverageReport as missing (merge_coverage) instead of failing the
-//     whole query.
+//   * query push-down - the paper's estimators are two-level joins
+//     (§III-IV): an AND-join of a location's t periods, then an OR plus
+//     Eq. 21 (or the corridor formula) across locations.  Under location
+//     sharding the first level is partition-local, so it runs where the
+//     records live:
+//       - point-volume, point-persistent and recent queries touch one
+//         location: the request is forwarded whole to its owner (failing
+//         over down the replica list) and the owner's QueryService::run
+//         answer comes back verbatim;
+//       - p2p and corridor queries send one join-call per location to
+//         every owner before awaiting any reply; each owner returns its
+//         first-level AND-join and which periods it holds, and the
+//         coordinator runs only the second level, in run_two_level - the
+//         code QueryService::run runs over its own store, so estimates
+//         are byte-identical.  A kSkipMissing corridor whose locations
+//         hold different periods is asked again over the periods every
+//         location holds; that second round happens only when there are
+//         gaps.
+//     A location with no reachable replica degrades the answer: a p2p or
+//     corridor query treats it as holding no periods, a forwarded query
+//     fails with kChannelError, and either way its named periods are
+//     folded into the CoverageReport as missing (merge_coverage) instead
+//     of the whole query failing.
 //
 // Threading: a coordinator belongs to one thread (it owns one
 // SupervisedConnection per node).  Spin up one per worker.
@@ -30,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,10 +59,10 @@ struct ClusterCoordinatorOptions {
   ClusterConfig config;
   transport::ConnectionTuning tuning{};
   std::optional<transport::AuthCredentials> credentials;
-  /// Estimator configuration of the scratch service queries run in; must
-  /// match the cluster's nodes for identical estimates (defaults match
-  /// default daemons).
-  QueryServiceOptions service{};
+  /// Encoding representative count of the second-level join; must match
+  /// the nodes' QueryServiceOptions::s for identical estimates (the
+  /// default matches default daemons).
+  std::size_t s = QueryServiceOptions{}.s;
   std::uint64_t seed = 1;  ///< reconnect jitter seed
 };
 
@@ -78,9 +91,12 @@ class ClusterCoordinator {
   [[nodiscard]] Status ingest(const TrafficRecord& record,
                               const Deadline& deadline);
 
-  /// Scatter-gathers `request` across the partitions it touches and runs
-  /// it on the gathered records.  Unreachable partitions degrade to
-  /// missing coverage under the request's own MissingPolicy semantics.
+  /// Runs `request` on the partitions it touches (see the file comment).
+  /// Estimates equal single-node QueryService::run's bit for bit; the
+  /// coverage is that answer's merged with a fetch-stage report over the
+  /// periods the request names - present when every location it touches
+  /// was reached, missing otherwise.  A request over more than
+  /// kMaxQueryPeriods periods fails with InvalidArgument before any call.
   [[nodiscard]] QueryResponse run(const QueryRequest& request);
 
   /// Polls every node for its telemetry snapshot; unreachable nodes come
@@ -110,17 +126,20 @@ class ClusterCoordinator {
   };
 
   [[nodiscard]] NodeLink* link_for(std::uint64_t node_id);
-  /// Fetches the stored records for (location, periods) from the first
-  /// reachable replica (owner first).  `periods` empty = all periods.
-  /// NotFound-style gaps are NOT errors - the scratch run classifies
-  /// them; failure means no replica answered.
-  [[nodiscard]] Result<std::vector<TrafficRecord>> fetch_location(
-      std::uint64_t location, std::span<const std::uint64_t> periods,
-      const Deadline& deadline);
+  /// Sends one call per location - `make_call(location, id, attempt)` -
+  /// to its first reachable replica (owner first), every call before any
+  /// reply is awaited; a call that fails moves to the location's next
+  /// replica.  Replies align with `locations`; nullopt where every replica
+  /// failed before `deadline`.
+  template <typename Reply, typename MakeCall>
+  [[nodiscard]] std::vector<std::optional<Reply>> call_owners(
+      std::span<const std::uint64_t> locations, const Deadline& deadline,
+      const MakeCall& make_call);
 
   ClusterCoordinatorOptions options_;
   PartitionMap map_;
   std::vector<NodeLink> links_;
+  std::uint64_t next_call_id_ = 0;  ///< correlation ids, unique per link
 };
 
 }  // namespace ptm::cluster

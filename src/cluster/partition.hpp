@@ -4,7 +4,7 @@
 // that keyspace by *location* so each of the paper's query shapes stays
 // local to few nodes: all periods of one location live together (point
 // and persistent queries touch one partition), and multi-location shapes
-// (p2p, corridor) scatter-gather per location.
+// (p2p, corridor) fan out one first-level join per location.
 //
 // The map is a classic consistent-hash ring: each node projects
 // `kVnodesPerNode` virtual points onto the 64-bit ring, a location hashes

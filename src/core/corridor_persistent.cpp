@@ -68,11 +68,7 @@ Result<double> corridor_log_b(std::span<const std::size_t> sizes,
   return std::log(a) - denominator;  // ln B
 }
 
-namespace {
-
-/// Shared core over per-location record pointer lists (the zero-copy
-/// shape); the vector-of-bitmaps overload adapts into it.
-Result<CorridorPersistentEstimate> corridor_from_ptrs(
+Result<CorridorPersistentEstimate> estimate_corridor_persistent(
     std::span<const std::vector<const Bitmap*>> records_per_location,
     std::size_t s) {
   const std::size_t k = records_per_location.size();
@@ -91,21 +87,35 @@ Result<CorridorPersistentEstimate> corridor_from_ptrs(
   // per location, no expanded record copies).  All k joins are leased from
   // the thread's pool and return to it when the query finishes.
   BitmapPool& pool = BitmapPool::local();
-  std::vector<BitmapPool::Lease> joins;
+  std::vector<BitmapPool::Lease> leases;
+  leases.reserve(k);
+  std::vector<const Bitmap*> joins;
   joins.reserve(k);
   for (const auto& records : records_per_location) {
     auto join = and_join_pooled(std::span<const Bitmap* const>(records), pool);
     if (!join) return join.status();
-    joins.push_back(std::move(*join));
+    leases.push_back(std::move(*join));
+    joins.push_back(&*leases.back());
+  }
+  return estimate_corridor_persistent_from_joins(joins, s);
+}
+
+Result<CorridorPersistentEstimate> estimate_corridor_persistent_from_joins(
+    std::span<const Bitmap* const> joins_per_location, std::size_t s) {
+  const std::size_t k = joins_per_location.size();
+  if (k < 2 || k > 8) {
+    return Status{ErrorCode::kInvalidArgument,
+                  "corridor estimation needs 2..8 locations"};
   }
   // Sort ascending by size (the derivation's m_1 <= ... <= m_k).
-  std::sort(joins.begin(), joins.end(),
-            [](const BitmapPool::Lease& a, const BitmapPool::Lease& b) {
-              return a->size() < b->size();
-            });
+  std::vector<const Bitmap*> joins(joins_per_location.begin(),
+                                   joins_per_location.end());
+  std::sort(joins.begin(), joins.end(), [](const Bitmap* a, const Bitmap* b) {
+    return a->size() < b->size();
+  });
 
   CorridorPersistentEstimate est;
-  for (const BitmapPool::Lease& join : joins) {
+  for (const Bitmap* join : joins) {
     est.m.push_back(join->size());
     est.v0.push_back(join->fraction_zeros());
   }
@@ -118,7 +128,7 @@ Result<CorridorPersistentEstimate> corridor_from_ptrs(
   // steady state); the smaller joins fold in through the tiled kernel,
   // bit-identical to the expand-then-OR fold because OR is commutative
   // over expansions.
-  BitmapPool::Lease acc = pool.acquire(joins.back()->size());
+  BitmapPool::Lease acc = BitmapPool::local().acquire(joins.back()->size());
   *acc = *joins.back();
   for (std::size_t j = 0; j + 1 < k; ++j) {
     if (Status st = acc->or_with_tiled(*joins[j]); !st.is_ok()) return st;
@@ -154,14 +164,6 @@ Result<CorridorPersistentEstimate> corridor_from_ptrs(
   return est;
 }
 
-}  // namespace
-
-Result<CorridorPersistentEstimate> estimate_corridor_persistent(
-    std::span<const std::vector<const Bitmap*>> records_per_location,
-    std::size_t s) {
-  return corridor_from_ptrs(records_per_location, s);
-}
-
 Result<CorridorPersistentEstimate> estimate_corridor_persistent(
     std::span<const std::vector<Bitmap>> records_per_location,
     std::size_t s) {
@@ -173,7 +175,8 @@ Result<CorridorPersistentEstimate> estimate_corridor_persistent(
     for (const Bitmap& b : records) location.push_back(&b);
     ptrs.push_back(std::move(location));
   }
-  return corridor_from_ptrs(ptrs, s);
+  return estimate_corridor_persistent(
+      std::span<const std::vector<const Bitmap*>>(ptrs), s);
 }
 
 }  // namespace ptm

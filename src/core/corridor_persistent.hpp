@@ -68,6 +68,16 @@ struct CorridorPersistentEstimate {
     std::span<const std::vector<const Bitmap*>> records_per_location,
     std::size_t s);
 
+/// The second level alone, over each location's first-level AND-join
+/// (the `and_join_pooled` of its records), in corridor order.  Both
+/// overloads above end here, so a caller that computes the joins where the
+/// records live - the cluster coordinator gathers one join per partition
+/// owner - gets a bit-identical estimate.  Same constraints on k and s;
+/// join sizes must be powers of two >= 2.
+[[nodiscard]] Result<CorridorPersistentEstimate>
+estimate_corridor_persistent_from_joins(
+    std::span<const Bitmap* const> joins_per_location, std::size_t s);
+
 /// The ln B factor alone (exposed for tests: at k = 2 it must equal
 /// ln(1 + 1/(s·(m2 − 1)))).  `sizes` must be sorted ascending powers of two.
 [[nodiscard]] Result<double> corridor_log_b(std::span<const std::size_t> sizes,

@@ -17,9 +17,6 @@ Result<PointToPointPersistentEstimate> estimate_p2p_persistent(
     return Status{ErrorCode::kInvalidArgument,
                   "p2p estimation needs records from both locations"};
   }
-  if (options.s < 1) {
-    return Status{ErrorCode::kInvalidArgument, "s must be >= 1"};
-  }
   for (auto span : {records_at_l, records_at_l_prime}) {
     for (const Bitmap* b : span) {
       if (b->empty() || !is_power_of_two(b->size())) {
@@ -38,11 +35,26 @@ Result<PointToPointPersistentEstimate> estimate_p2p_persistent(
   if (!e_l) return e_l.status();
   auto e_lp = and_join_pooled(records_at_l_prime, pool);
   if (!e_lp) return e_lp.status();
+  return estimate_p2p_persistent_from_joins(**e_l, **e_lp, options);
+}
+
+Result<PointToPointPersistentEstimate> estimate_p2p_persistent_from_joins(
+    const Bitmap& join_at_l, const Bitmap& join_at_l_prime,
+    const PointToPointOptions& options) {
+  if (options.s < 1) {
+    return Status{ErrorCode::kInvalidArgument, "s must be >= 1"};
+  }
+  for (const Bitmap* join : {&join_at_l, &join_at_l_prime}) {
+    if (join->empty() || !is_power_of_two(join->size())) {
+      return Status{ErrorCode::kInvalidArgument,
+                    "join sizes must be non-zero powers of two"};
+    }
+  }
 
   // W.l.o.g. m <= m' (§IV assumes it; the estimator is symmetric under
   // swapping the locations along with their sizes).
-  const Bitmap* small = &**e_l;
-  const Bitmap* large = &**e_lp;
+  const Bitmap* small = &join_at_l;
+  const Bitmap* large = &join_at_l_prime;
   if (small->size() > large->size()) std::swap(small, large);
 
   PointToPointPersistentEstimate est;

@@ -70,4 +70,15 @@ estimate_p2p_persistent(std::span<const Bitmap* const> records_at_l,
                         std::span<const Bitmap* const> records_at_l_prime,
                         const PointToPointOptions& options);
 
+/// The second level alone, over the two first-level joins E_* and E'_*
+/// (each the `and_join_pooled` of one location's records).  Both
+/// overloads above end here, so a caller that computes the joins where the
+/// records live - the cluster coordinator gathers one join per partition
+/// owner - gets a bit-identical estimate.  InvalidArgument unless both
+/// join sizes are non-zero powers of two and s >= 1.
+[[nodiscard]] Result<PointToPointPersistentEstimate>
+estimate_p2p_persistent_from_joins(const Bitmap& join_at_l,
+                                   const Bitmap& join_at_l_prime,
+                                   const PointToPointOptions& options);
+
 }  // namespace ptm

@@ -1,11 +1,14 @@
 #include "query/query_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <mutex>
+#include <type_traits>
 
 #include "common/bitmap_pool.hpp"
 #include "common/parallel.hpp"
+#include "core/expansion.hpp"
 #include "core/linear_counting.hpp"
 #include "simd/kernels.hpp"
 #include "store/archive.hpp"
@@ -69,6 +72,43 @@ const char* query_kind_name(const QueryRequest& request) noexcept {
 const Deadline& query_deadline(const QueryRequest& request) noexcept {
   return std::visit(
       [](const auto& q) -> const Deadline& { return q.deadline; }, request);
+}
+
+std::vector<std::uint64_t> query_named_periods(const QueryRequest& request) {
+  return std::visit(
+      [](const auto& q) -> std::vector<std::uint64_t> {
+        using T = std::decay_t<decltype(q)>;
+        if constexpr (std::is_same_v<T, PointVolumeQuery>) {
+          return {q.period};
+        } else if constexpr (std::is_same_v<T, RecentPersistentQuery>) {
+          return {};
+        } else {
+          return q.periods;
+        }
+      },
+      request);
+}
+
+Status check_query_bounds(const QueryRequest& request) {
+  const std::size_t named =
+      std::visit(
+          [](const auto& q) -> std::size_t {
+            using T = std::decay_t<decltype(q)>;
+            if constexpr (std::is_same_v<T, PointVolumeQuery>) {
+              return 1;
+            } else if constexpr (std::is_same_v<T, RecentPersistentQuery>) {
+              return q.window;
+            } else {
+              return q.periods.size();
+            }
+          },
+          request);
+  if (named > kMaxQueryPeriods) {
+    return {ErrorCode::kInvalidArgument,
+            "query spans " + std::to_string(named) + " periods; at most " +
+                std::to_string(kMaxQueryPeriods) + " are allowed"};
+  }
+  return Status::ok();
 }
 
 std::uint64_t query_primary_location(const QueryRequest& request) noexcept {
@@ -329,6 +369,37 @@ std::vector<TrafficRecord> QueryService::records_at_periods(
   return out;
 }
 
+LocationJoin QueryService::join_location(
+    std::uint64_t location, std::span<const std::uint64_t> periods,
+    const Deadline& deadline) const {
+  LocationJoin out;
+  if (deadline.expired_now()) {
+    out.status = Status{ErrorCode::kDeadlineExceeded,
+                        "deadline expired before the join began"};
+    return out;
+  }
+  if (periods.size() > kMaxQueryPeriods) {
+    out.status = Status{ErrorCode::kInvalidArgument,
+                        "join names " + std::to_string(periods.size()) +
+                            " periods; at most " +
+                            std::to_string(kMaxQueryPeriods) +
+                            " are allowed"};
+    return out;
+  }
+  shard_for(location).queries->add();
+  PresentBitmaps split = collect_present(location, periods);
+  out.present = std::move(split.coverage.present);
+  if (split.bitmaps.empty()) return out;
+  auto join = and_join_pooled(split.bitmaps, BitmapPool::local());
+  if (!join) {
+    out.status = join.status();
+    return out;
+  }
+  // The join is the result: hand the buffer out rather than copy it.
+  out.join = join->detach();
+  return out;
+}
+
 std::size_t QueryService::plan_size(std::uint64_t location,
                                     double default_volume) const {
   const Shard& shard = shard_for(location);
@@ -344,36 +415,17 @@ std::size_t QueryService::plan_size(std::uint64_t location,
   return plan_bitmap_size(expected, options_.load_factor);
 }
 
-Result<std::vector<const Bitmap*>> QueryService::collect_bitmaps(
-    std::uint64_t location, std::span<const std::uint64_t> periods) const {
-  const Shard& shard = shard_for(location);
-  std::vector<const Bitmap*> out;
-  out.reserve(periods.size());
-  std::shared_lock lock(shard.mutex);
-  for (std::uint64_t period : periods) {
-    const auto it = shard.records.find(std::make_pair(location, period));
-    if (it == shard.records.end()) {
-      return Status{ErrorCode::kNotFound,
-                    "missing record for a requested period"};
-    }
-    out.push_back(&it->second.bits);
-  }
-  return out;
-}
-
 QueryService::PresentBitmaps QueryService::collect_present(
     std::uint64_t location, std::span<const std::uint64_t> periods) const {
-  const Shard& shard = shard_for(location);
   PresentBitmaps out;
   out.coverage.requested.assign(periods.begin(), periods.end());
-  std::shared_lock lock(shard.mutex);
-  for (std::uint64_t period : periods) {
-    const auto it = shard.records.find(std::make_pair(location, period));
-    if (it == shard.records.end()) {
-      out.coverage.missing.push_back(period);
+  const std::vector<const Bitmap*> stored = stored_bitmaps(location, periods);
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    if (stored[i] == nullptr) {
+      out.coverage.missing.push_back(periods[i]);
     } else {
-      out.coverage.present.push_back(period);
-      out.bitmaps.push_back(&it->second.bits);
+      out.coverage.present.push_back(periods[i]);
+      out.bitmaps.push_back(stored[i]);
     }
   }
   return out;
@@ -381,10 +433,10 @@ QueryService::PresentBitmaps QueryService::collect_present(
 
 namespace {
 
-/// Shared epilogue of the gap-tolerant persistent handlers: apply the
-/// missing policy to a coverage split and either fail (with the coverage
-/// attached, so the caller can see which periods gapped) or approve
-/// estimation over the present subset.
+/// Shared epilogue of the gap-tolerant handlers: apply the missing policy
+/// to a coverage split and either fail (with the coverage attached, so the
+/// caller can see which periods gapped) or approve estimation over the
+/// present subset.
 [[nodiscard]] Status apply_missing_policy(MissingPolicy policy,
                                           const CoverageReport& coverage) {
   if (coverage.complete()) return Status::ok();  // estimator takes it whole
@@ -398,14 +450,134 @@ namespace {
   return Status::ok();
 }
 
+std::vector<std::uint64_t> sorted_unique(std::vector<std::uint64_t> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
 }  // namespace
+
+QueryResponse run_two_level(const P2PPersistentQuery& q, std::size_t s,
+                            const JoinSource& source) {
+  QueryResponse response;
+  const std::uint64_t locations[] = {q.location_a, q.location_b};
+  std::vector<std::optional<LocationJoin>> joins =
+      source(locations, q.periods);
+  if (q.deadline.expired_now()) {
+    response.status = Status{ErrorCode::kDeadlineExceeded,
+                             "deadline expired during the p2p joins"};
+    return response;
+  }
+  // Both locations must hold every requested period.
+  for (std::optional<LocationJoin>& join : joins) {
+    if (!join) join.emplace();
+    if (!join->status.is_ok()) {
+      response.status = join->status;
+      return response;
+    }
+    if (join->present.size() != q.periods.size()) {
+      response.status = Status{ErrorCode::kNotFound,
+                               "missing record for a requested period"};
+      return response;
+    }
+  }
+  PointToPointOptions estimator_options;
+  estimator_options.s = s;
+  auto est = estimate_p2p_persistent_from_joins(joins[0]->join, joins[1]->join,
+                                                estimator_options);
+  if (!est) {
+    response.status = est.status();
+    return response;
+  }
+  response.result = *est;
+  response.summary = summarize_estimate(*est);
+  return response;
+}
+
+QueryResponse run_two_level(const CorridorQuery& q, std::size_t s,
+                            const JoinSource& source) {
+  QueryResponse response;
+  response.coverage.requested = q.periods;
+  const std::vector<std::uint64_t> locations = sorted_unique(q.locations);
+  const auto slot = [&](std::uint64_t location) {
+    return static_cast<std::size_t>(
+        std::lower_bound(locations.begin(), locations.end(), location) -
+        locations.begin());
+  };
+  std::vector<LocationJoin> joins(locations.size());
+  // Round one joins every location over every requested period.  A later
+  // round re-joins only the locations whose join covers more periods than
+  // every location stores, over exactly those; records are never erased,
+  // so each round can only shrink that set and the loop ends.
+  std::vector<std::uint64_t> asked = locations;
+  std::vector<std::uint64_t> periods = q.periods;
+  for (;;) {
+    std::vector<std::optional<LocationJoin>> gathered = source(asked, periods);
+    if (q.deadline.expired_now()) {
+      response.status = Status{ErrorCode::kDeadlineExceeded,
+                               "deadline expired during the corridor joins"};
+      return response;
+    }
+    for (std::size_t i = 0; i < asked.size(); ++i) {
+      joins[slot(asked[i])] =
+          gathered[i] ? std::move(*gathered[i]) : LocationJoin{};
+    }
+    for (const LocationJoin& join : joins) {
+      if (!join.status.is_ok()) {
+        response.status = join.status;
+        return response;
+      }
+    }
+    // A period is present only when every corridor location stores it
+    // (the joined estimate needs the full column).
+    response.coverage.present.clear();
+    response.coverage.missing.clear();
+    for (std::uint64_t period : q.periods) {
+      const bool everywhere = std::all_of(
+          q.locations.begin(), q.locations.end(), [&](std::uint64_t loc) {
+            const auto& present = joins[slot(loc)].present;
+            return std::find(present.begin(), present.end(), period) !=
+                   present.end();
+          });
+      (everywhere ? response.coverage.present : response.coverage.missing)
+          .push_back(period);
+    }
+    if (Status st = apply_missing_policy(q.missing, response.coverage);
+        !st.is_ok()) {
+      response.status = st;
+      return response;
+    }
+    asked.clear();
+    for (std::size_t i = 0; i < locations.size(); ++i) {
+      if (joins[i].present != response.coverage.present) {
+        asked.push_back(locations[i]);
+      }
+    }
+    if (asked.empty()) break;
+    periods = response.coverage.present;
+  }
+  std::vector<const Bitmap*> per_location;
+  per_location.reserve(q.locations.size());
+  for (std::uint64_t location : q.locations) {
+    per_location.push_back(&joins[slot(location)].join);
+  }
+  auto est = estimate_corridor_persistent_from_joins(per_location, s);
+  if (!est) {
+    response.status = est.status();
+    return response;
+  }
+  response.summary = summarize_estimate(*est);
+  response.result = std::move(*est);
+  return response;
+}
 
 QueryResponse QueryService::handle(const PointVolumeQuery& q) const {
   const Shard& shard = shard_for(q.location);
   shard.queries->add();
   QueryResponse response;
   // Pointer, not copy: stored records are immutable and never evicted
-  // (see collect_bitmaps), so reading outside the lock is safe.
+  // (see collect_present), so reading outside the lock is safe.
   const Bitmap* bits = nullptr;
   {
     std::shared_lock lock(shard.mutex);
@@ -508,30 +680,56 @@ QueryResponse QueryService::handle(const RecentPersistentQuery& q) const {
   return response;
 }
 
+void QueryService::count_query(
+    std::span<const std::uint64_t> locations) const {
+  std::vector<const Shard*> touched;
+  for (std::uint64_t location : locations) {
+    const Shard* shard = &shard_for(location);
+    if (std::find(touched.begin(), touched.end(), shard) == touched.end()) {
+      touched.push_back(shard);
+      shard->queries->add();
+    }
+  }
+}
+
+std::vector<const Bitmap*> QueryService::stored_bitmaps(
+    std::uint64_t location, std::span<const std::uint64_t> periods) const {
+  const Shard& shard = shard_for(location);
+  std::vector<const Bitmap*> out;
+  out.reserve(periods.size());
+  std::shared_lock lock(shard.mutex);
+  for (std::uint64_t period : periods) {
+    const auto it = shard.records.find(std::make_pair(location, period));
+    out.push_back(it == shard.records.end() ? nullptr : &it->second.bits);
+  }
+  return out;
+}
+
+// The cross-location handlers run both levels over the local store: the
+// estimators' record-list entry points AND-join each location's records
+// into pooled buffers and finish in the *_from_joins second level that
+// run_two_level calls on joins from partition owners, so a cluster's
+// answer is bit-identical without this path materializing any join.
+
 QueryResponse QueryService::handle(const P2PPersistentQuery& q) const {
-  Shard& shard_a = shard_for(q.location_a);
-  Shard& shard_b = shard_for(q.location_b);
-  shard_a.queries->add();
-  if (&shard_b != &shard_a) {
-    shard_b.queries->add();
-  }
+  count_query(std::array{q.location_a, q.location_b});
   QueryResponse response;
-  auto bitmaps_a = collect_bitmaps(q.location_a, q.periods);
-  if (!bitmaps_a) {
-    response.status = bitmaps_a.status();
-    return response;
-  }
-  auto bitmaps_b = collect_bitmaps(q.location_b, q.periods);
-  if (!bitmaps_b) {
-    response.status = bitmaps_b.status();
+  // Both locations must hold every requested period.
+  const std::vector<const Bitmap*> at_a = stored_bitmaps(q.location_a,
+                                                         q.periods);
+  const std::vector<const Bitmap*> at_b = stored_bitmaps(q.location_b,
+                                                         q.periods);
+  if (std::count(at_a.begin(), at_a.end(), nullptr) > 0 ||
+      std::count(at_b.begin(), at_b.end(), nullptr) > 0) {
+    response.status =
+        Status{ErrorCode::kNotFound, "missing record for a requested period"};
     return response;
   }
   PointToPointOptions estimator_options;
   estimator_options.s = options_.s;
   auto est = [&] {
     ScopedTimer kernel_span(&spans_, "eq21-kernel");
-    auto r = estimate_p2p_persistent(*bitmaps_a, *bitmaps_b,
-                                     estimator_options);
+    auto r = estimate_p2p_persistent(at_a, at_b, estimator_options);
     kernel_span.set_ok(r.has_value());
     return r;
   }();
@@ -545,59 +743,39 @@ QueryResponse QueryService::handle(const P2PPersistentQuery& q) const {
 }
 
 QueryResponse QueryService::handle(const CorridorQuery& q) const {
-  // Count the query once per distinct shard it touches.
-  std::vector<const Shard*> touched;
-  for (std::uint64_t location : q.locations) {
-    const Shard* shard = &shard_for(location);
-    if (std::find(touched.begin(), touched.end(), shard) == touched.end()) {
-      touched.push_back(shard);
-      shard->queries->add();
-    }
-  }
+  count_query(q.locations);
   QueryResponse response;
-  // Coverage first: a period is present only when *every* corridor
-  // location stores it (the joined estimate needs the full column).  This
-  // loop and the gather loop below are the corridor's yield points: the
-  // deadline is re-checked between periods and between locations, and an
-  // expiry abandons the query with the coverage gathered so far (partial
-  // on expiry mid-coverage) instead of finishing a stale answer.
-  response.coverage.requested = q.periods;
-  for (std::uint64_t period : q.periods) {
-    if (q.deadline.expired_now()) {
-      response.status = Status{ErrorCode::kDeadlineExceeded,
-                               "deadline expired during corridor coverage"};
-      return response;
-    }
-    const bool everywhere =
-        std::all_of(q.locations.begin(), q.locations.end(),
-                    [&](std::uint64_t location) {
-                      return has_record(location, period);
-                    });
-    (everywhere ? response.coverage.present : response.coverage.missing)
-        .push_back(period);
-  }
-  if (Status s = apply_missing_policy(q.missing, response.coverage);
-      !s.is_ok()) {
-    response.status = s;
-    return response;
-  }
-  std::vector<std::vector<const Bitmap*>> per_location;
-  per_location.reserve(q.locations.size());
+  // Lookups are the corridor's yield points: the deadline is re-checked
+  // between locations, and an expiry abandons the query.
+  std::vector<std::vector<const Bitmap*>> stored;
+  stored.reserve(q.locations.size());
   for (std::uint64_t location : q.locations) {
     if (q.deadline.expired_now()) {
       response.status = Status{ErrorCode::kDeadlineExceeded,
-                               "deadline expired during corridor gather"};
+                               "deadline expired during the corridor lookup"};
       return response;
     }
-    auto bitmaps = collect_bitmaps(location, response.coverage.present);
-    if (!bitmaps) {
-      // A record vanished between the coverage pass and the pointer
-      // gather - the store only grows, so this cannot happen in practice;
-      // surface it.
-      response.status = bitmaps.status();
-      return response;
+    stored.push_back(stored_bitmaps(location, q.periods));
+  }
+  // A period is present only when every corridor location stores it (the
+  // joined estimate needs the full column).
+  response.coverage.requested = q.periods;
+  std::vector<std::vector<const Bitmap*>> per_location(q.locations.size());
+  for (std::size_t i = 0; i < q.periods.size(); ++i) {
+    const bool everywhere =
+        std::all_of(stored.begin(), stored.end(),
+                    [i](const auto& bitmaps) { return bitmaps[i] != nullptr; });
+    (everywhere ? response.coverage.present : response.coverage.missing)
+        .push_back(q.periods[i]);
+    if (!everywhere) continue;
+    for (std::size_t l = 0; l < stored.size(); ++l) {
+      per_location[l].push_back(stored[l][i]);
     }
-    per_location.push_back(std::move(*bitmaps));
+  }
+  if (Status st = apply_missing_policy(q.missing, response.coverage);
+      !st.is_ok()) {
+    response.status = st;
+    return response;
   }
   auto est = [&] {
     ScopedTimer kernel_span(&spans_, "corridor-kernel");
@@ -628,6 +806,8 @@ QueryResponse QueryService::run(const QueryRequest& request) const {
     // time.  The shard `queries` counter stays untouched - nothing ran.
     response.status = Status{ErrorCode::kDeadlineExceeded,
                              "deadline expired before execution began"};
+  } else if (Status bounds = check_query_bounds(request); !bounds.is_ok()) {
+    response.status = std::move(bounds);
   } else {
     Status admitted;
     {

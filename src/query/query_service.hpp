@@ -42,9 +42,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <vector>
@@ -66,6 +68,30 @@ struct QueryServiceOptions {
   std::size_t n_shards = 16; ///< record-store shards; >= 1
   AdmissionOptions admission{};  ///< query overload policy (default: no gate)
 };
+
+/// Where the first-level joins of a cross-location query come from: the
+/// joins of `locations` over `periods`, index-aligned; nullopt for a
+/// location nobody could answer for, which then counts as storing nothing.
+using JoinSource = std::function<std::vector<std::optional<LocationJoin>>(
+    std::span<const std::uint64_t> locations,
+    const std::vector<std::uint64_t>& periods)>;
+
+/// Two-level execution of the cross-location shapes (§III-IV): the
+/// first-level joins come from `source`, and the second level (Eq. 21 or
+/// the corridor formula, representative count `s`) runs here.  The
+/// cluster coordinator feeds it joins gathered from partition owners;
+/// QueryService::run calls the estimators' record-list entry points, which
+/// end in the same *_from_joins second level, so the two answers are
+/// bit-identical.  A kSkipMissing corridor whose locations store different
+/// periods asks `source` again - for the locations whose joins cover more
+/// - over the periods every location stores; that second round happens
+/// only when there are gaps.
+[[nodiscard]] QueryResponse run_two_level(const P2PPersistentQuery& q,
+                                          std::size_t s,
+                                          const JoinSource& source);
+[[nodiscard]] QueryResponse run_two_level(const CorridorQuery& q,
+                                          std::size_t s,
+                                          const JoinSource& source);
 
 class QueryService {
  public:
@@ -152,9 +178,21 @@ class QueryService {
 
   /// Copies of the stored records at `location` for the given periods
   /// (missing periods are skipped; empty `periods` = every stored period,
-  /// ascending).  The coordinator's records-request handler.
+  /// ascending).
   [[nodiscard]] std::vector<TrafficRecord> records_at_periods(
       std::uint64_t location, std::span<const std::uint64_t> periods) const;
+
+  /// The first level of a p2p or corridor query at one location: the
+  /// stored subset of `periods` (request order) and the AND-join of those
+  /// records - what `run` computes for that location before the second
+  /// level, so a join gathered from a partition owner reproduces the
+  /// single-node estimate bit for bit.  A deadline already expired on
+  /// arrival fails with kDeadlineExceeded, more than kMaxQueryPeriods
+  /// periods with kInvalidArgument.  Each join that runs counts one query
+  /// on the location's shard.  ptmd's join-call handler.
+  [[nodiscard]] LocationJoin join_location(
+      std::uint64_t location, std::span<const std::uint64_t> periods,
+      const Deadline& deadline = {}) const;
 
   /// Eq. 2 with the location's historical average volume; `default_volume`
   /// for locations with no history yet.
@@ -225,26 +263,28 @@ class QueryService {
 
   [[nodiscard]] Shard& shard_for(std::uint64_t location) const noexcept;
 
-  /// Pointers to the location's stored bitmaps for the given periods,
-  /// gathered under the shard's shared lock.  NotFound if any period is
-  /// missing.  The pointers stay valid after the lock is released: the
-  /// store is insert-only (no record is ever erased or overwritten -
-  /// conflicting ingests are rejected) and std::map nodes are
-  /// address-stable, so handlers feed the estimators' zero-copy
+  /// Pointers to the location's stored bitmaps for the *stored* subset of
+  /// `periods`, gathered under the shard's shared lock, plus the coverage
+  /// split.  Never fails on gaps; `bitmaps` aligns index-for-index with
+  /// `coverage.present`.  The pointers stay valid after the lock is
+  /// released: the store is insert-only (no record is ever erased or
+  /// overwritten - conflicting ingests are rejected) and std::map nodes
+  /// are address-stable, so handlers feed the estimators' zero-copy
   /// pointer-span overloads without copying a single record.
-  [[nodiscard]] Result<std::vector<const Bitmap*>> collect_bitmaps(
-      std::uint64_t location, std::span<const std::uint64_t> periods) const;
-
-  /// Gap-tolerant variant: stored-record pointers for the *stored* subset
-  /// of `periods` plus the coverage split.  Never fails on gaps; `bitmaps`
-  /// aligns index-for-index with `coverage.present`.  Same lifetime
-  /// argument as collect_bitmaps.
   struct PresentBitmaps {
     std::vector<const Bitmap*> bitmaps;
     CoverageReport coverage;
   };
   [[nodiscard]] PresentBitmaps collect_present(
       std::uint64_t location, std::span<const std::uint64_t> periods) const;
+
+  /// The location's stored bitmaps aligned with `periods`, nullptr where
+  /// none is stored; collect_present's lookup, so equally address-stable.
+  [[nodiscard]] std::vector<const Bitmap*> stored_bitmaps(
+      std::uint64_t location, std::span<const std::uint64_t> periods) const;
+
+  /// Counts one query on each distinct shard `locations` map to.
+  void count_query(std::span<const std::uint64_t> locations) const;
 
   [[nodiscard]] QueryResponse dispatch(const QueryRequest& request) const;
   [[nodiscard]] QueryResponse handle(const PointVolumeQuery& q) const;

@@ -126,8 +126,10 @@ struct QueryResponse {
   QueryResult result;   ///< shape matches the request's query kind
   EstimateSummary summary;  ///< unified view; valid only when status is ok
   /// Period coverage for multi-period queries (persistent/recent/corridor).
-  /// Populated even on NotFound so callers can see *which* periods gapped;
-  /// empty for single-period and p2p queries.
+  /// Populated even on NotFound so callers can see *which* periods gapped.
+  /// QueryService::run leaves it empty for single-period and p2p queries;
+  /// ClusterCoordinator::run merges in the periods every request names
+  /// (cluster/coordinator.hpp), so a cluster's p2p answer lists them.
   CoverageReport coverage;
   std::uint64_t latency_ns = 0;  ///< service-side execution time
 
@@ -143,12 +145,46 @@ struct QueryResponse {
   }
 };
 
+/// One location's first level of a cross-location query (p2p, corridor;
+/// §IV): which requested periods the location stores, and the AND-join E_*
+/// of exactly those periods' records.  QueryService::join_location
+/// computes it where the records live; the cluster coordinator gathers one
+/// per location and runs only the second level.
+struct LocationJoin {
+  /// The join's own failure (e.g. a deadline that expired on arrival);
+  /// ok when nothing is stored, with `join` then empty.
+  Status status;
+  std::vector<std::uint64_t> present;  ///< stored subset, request order
+  Bitmap join;  ///< E_* over `present`; empty when none is or it failed
+};
+
+/// The most periods one request may name, and the longest recent window.
+/// Every multi-period answer lists its periods (the CoverageReport, a
+/// join's `present`), so the caller would otherwise size the reply: a
+/// pushed-down call's reply must fit in one transport frame (16 MiB), and
+/// a gap-aware recent window lists every period number it spans.  At the
+/// bound a reply's lists take 1.5 MiB; the paper's windows are tens of
+/// periods.
+inline constexpr std::size_t kMaxQueryPeriods = std::size_t{1} << 16;
+
+/// InvalidArgument when `request` names more than kMaxQueryPeriods periods
+/// or asks for a longer recent window; Ok otherwise.  QueryService::run,
+/// QueryService::join_location and ClusterCoordinator::run refuse such
+/// requests before touching a record.
+[[nodiscard]] Status check_query_bounds(const QueryRequest& request);
+
 /// Short human-readable name of a request's shape ("point-volume", ...).
 [[nodiscard]] const char* query_kind_name(const QueryRequest& request) noexcept;
 
 /// The deadline a request carries, whatever its shape.
 [[nodiscard]] const Deadline& query_deadline(
     const QueryRequest& request) noexcept;
+
+/// The periods a request names explicitly: {period} for point volume,
+/// none for a recent window (it is resolved against the stored history),
+/// the period list otherwise.
+[[nodiscard]] std::vector<std::uint64_t> query_named_periods(
+    const QueryRequest& request);
 
 /// The request's primary location: the single location for point-style
 /// shapes, location_a for p2p, the first listed location for corridors

@@ -136,13 +136,18 @@ Status SupervisedConnection::ensure_connected(const Deadline& deadline) {
     } else {
       connect_failures_.add();
     }
+    // Under a millisecond left: every wait below rounds down to zero, so
+    // another dial could not finish a handshake - and redialing without a
+    // pause would spin through one fresh connection per loop until the
+    // deadline's last fraction of a millisecond runs out.
+    if (budget_ms(deadline, 1) == 0) {
+      return {ErrorCode::kDeadlineExceeded,
+              "connect deadline exceeded: " + endpoint_.to_string()};
+    }
     const std::uint64_t sleep_ms =
         budget_ms(deadline, backoff_delay_ms(attempt));
     if (sleep_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-    } else if (!deadline.unbounded() && deadline.expired_now()) {
-      return {ErrorCode::kDeadlineExceeded,
-              "connect deadline exceeded: " + endpoint_.to_string()};
     }
   }
 }

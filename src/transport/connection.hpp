@@ -125,6 +125,33 @@ class SupervisedConnection {
   /// `deadline` passes first.
   [[nodiscard]] Result<WireMessage> receive(const Deadline& deadline);
 
+  /// Receives until the `Reply` (QueryReply, JoinReply) to call `id`
+  /// arrives.  Replies to other calls are parked in `early` when given -
+  /// a pipelined caller collects them there - and skipped otherwise, as is
+  /// every other kind (a stale ack, an abandoned call's late reply).
+  template <typename Reply>
+  [[nodiscard]] Result<Reply> await_reply(
+      std::uint64_t id, const Deadline& deadline,
+      std::map<std::uint64_t, Reply>* early = nullptr) {
+    if (early != nullptr) {
+      if (auto it = early->find(id); it != early->end()) {
+        Reply reply = std::move(it->second);
+        early->erase(it);
+        return reply;
+      }
+    }
+    for (;;) {
+      auto message = receive(deadline);
+      if (!message) return message.status();
+      auto* reply = std::get_if<Reply>(&*message);
+      if (reply == nullptr) continue;
+      if (reply->correlation_id == id) return std::move(*reply);
+      if (early != nullptr) {
+        early->insert_or_assign(reply->correlation_id, std::move(*reply));
+      }
+    }
+  }
+
   /// Heartbeat round trip; returns RTT in nanoseconds.  Any other
   /// messages that arrive while waiting are queued for later receive()
   /// calls.  An unanswered ping within heartbeat_timeout_ms severs the

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <random>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "crypto/certificate.hpp"
@@ -27,6 +28,11 @@ bool retryable_ingest_failure(ErrorCode code) noexcept {
       return true;
   }
 }
+
+/// Calls expected to read more stored bitmap bytes than this run on the
+/// call worker.  A join over 256 KiB takes tens of microseconds, about
+/// what handing it to the worker and back costs.
+constexpr std::size_t kInlineCallBytes = 256u << 10;
 
 /// Challenge nonces need unpredictability, not determinism: seed from the
 /// system entropy source (the chaos scripts key on frame ordinals, never
@@ -58,6 +64,8 @@ PtmdServer::PtmdServer(PtmdOptions options)
           service_.telemetry().counter("transport_auth_rejects_total")),
       repl_records_(
           service_.telemetry().counter("transport_repl_records_total")),
+      calls_offloaded_(
+          service_.telemetry().counter("transport_calls_offloaded_total")),
       connections_(service_.telemetry().gauge("transport_connections")),
       repl_subscribers_(
           service_.telemetry().gauge("transport_repl_subscribers")),
@@ -128,6 +136,7 @@ Status PtmdServer::start() {
   for (std::size_t i = 0; i < options_.ingest_threads; ++i) {
     workers_.emplace_back([this] { worker_main(); });
   }
+  call_worker_ = std::thread([this] { call_worker_main(); });
   loop_thread_ = std::thread([this] { loop_main(); });
   return Status::ok();
 }
@@ -143,6 +152,17 @@ void PtmdServer::stop() {
     return;
   }
   jobs_cv_.notify_all();
+  {
+    // Taking the lock orders the notify after the worker's predicate check.
+    std::lock_guard lock(calls_mu_);
+  }
+  calls_cv_.notify_all();
+  if (call_worker_.joinable()) call_worker_.join();
+  {
+    // Unanswered calls: the caller's await times out and fails over.
+    std::lock_guard lock(calls_mu_);
+    calls_.clear();
+  }
   // Join the workers while the loop is still alive: an in-flight ingest
   // posts its finish_ingest (ack/nack + gate release) to a loop that will
   // actually run it.  Stopping the loop first would strand those posts.
@@ -204,6 +224,24 @@ void PtmdServer::worker_main() {
                 trace = job.trace, status,
                 forwarded = std::move(forwarded)] {
       finish_ingest(conn_id, location, period, trace, status, forwarded);
+    });
+  }
+}
+
+void PtmdServer::call_worker_main() {
+  for (;;) {
+    CallJob job;
+    {
+      std::unique_lock lock(calls_mu_);
+      calls_cv_.wait(lock,
+                     [this] { return !calls_.empty() || !running_.load(); });
+      if (!running_.load()) return;
+      job = std::move(calls_.front());
+      calls_.pop_front();
+    }
+    loop_.post([this, conn_id = job.conn_id,
+                payload = answer_call(job.call)] {
+      if (Conn* conn = conn_by_id(conn_id)) send_payload(*conn, payload);
     });
   }
 }
@@ -344,23 +382,9 @@ void PtmdServer::handle_payload(Conn& conn,
     }
     return;
   }
-  if (const auto* req = std::get_if<RecordsRequest>(&*message)) {
-    // The coordinator's scatter-gather fetch.  The response is bounded to
-    // one wire frame's worth of records; anything cut off looks like a
-    // missing period to the coordinator, which degrades that partition to
-    // partial coverage - never a protocol error.
-    constexpr std::size_t kMaxResponseBytes = 8u << 20;
-    RecordsResponse resp;
-    resp.location = req->location;
-    std::size_t total_bytes = 0;
-    for (const TrafficRecord& rec :
-         service_.records_at_periods(req->location, req->periods)) {
-      std::vector<std::uint8_t> bytes = rec.serialize();
-      total_bytes += bytes.size();
-      if (total_bytes > kMaxResponseBytes) break;
-      resp.records.push_back(std::move(bytes));
-    }
-    send_message(conn, resp);
+  if (std::holds_alternative<QueryCall>(*message) ||
+      std::holds_alternative<JoinCall>(*message)) {
+    handle_call(conn, std::move(*message));
     return;
   }
   // Acks/nacks/stats flowing server-ward carry nothing for us; ignoring
@@ -467,6 +491,82 @@ void PtmdServer::handle_frame(Conn& conn, const Frame& frame) {
     jobs_.push_back(IngestJob{conn.id, upload->record, frame.trace});
   }
   jobs_cv_.notify_one();
+}
+
+void PtmdServer::handle_call(Conn& conn, WireMessage call) {
+  // A small call is cheaper to answer here than to hand off twice (to the
+  // worker and back): a 10-period join over 2 KiB records took 38-41 us
+  // per round trip inline, 62-69 us through the worker.  A large one
+  // would stall every other connection's acks for its whole run: on one
+  // node, 80-period joins over 128 KiB records (1.1-1.9 ms each) raised a
+  // concurrent ingest's ack p90 from 0.08-0.27 ms to 1.2-3.3 ms when run
+  // inline (docs/cluster.md).
+  if (call_cost_bytes(call) <= kInlineCallBytes) {
+    send_payload(conn, answer_call(call));
+    return;
+  }
+  calls_offloaded_.add();
+  {
+    std::lock_guard lock(calls_mu_);
+    calls_.push_back(CallJob{conn.id, std::move(call)});
+  }
+  calls_cv_.notify_one();
+}
+
+std::size_t PtmdServer::call_cost_bytes(const WireMessage& call) const {
+  // Records of one location share its Eq. 2 size, which plan_size
+  // recomputes from the location's volume history.
+  const auto bytes = [this](std::uint64_t location, std::size_t periods) {
+    return periods * ((service_.plan_size(location) + 7) / 8);
+  };
+  if (const auto* join = std::get_if<JoinCall>(&call)) {
+    return bytes(join->location, join->periods.size());
+  }
+  return std::visit(
+      [&](const auto& q) -> std::size_t {
+        using T = std::decay_t<decltype(q)>;
+        if constexpr (std::is_same_v<T, PointVolumeQuery>) {
+          return bytes(q.location, 1);
+        } else if constexpr (std::is_same_v<T, PointPersistentQuery>) {
+          return bytes(q.location, q.periods.size());
+        } else if constexpr (std::is_same_v<T, RecentPersistentQuery>) {
+          return bytes(q.location, q.window);
+        } else if constexpr (std::is_same_v<T, P2PPersistentQuery>) {
+          return bytes(q.location_a, q.periods.size()) +
+                 bytes(q.location_b, q.periods.size());
+        } else {
+          std::size_t total = 0;
+          for (std::uint64_t location : q.locations) {
+            total += bytes(location, q.periods.size());
+          }
+          return total;
+        }
+      },
+      std::get<QueryCall>(call).request);
+}
+
+std::vector<std::uint8_t> PtmdServer::answer_call(
+    const WireMessage& call) const {
+  WireMessage reply;
+  if (const auto* query = std::get_if<QueryCall>(&call)) {
+    reply = QueryReply{query->correlation_id, service_.run(query->request)};
+  } else {
+    const JoinCall& join = std::get<JoinCall>(call);
+    reply = JoinReply{join.correlation_id,
+                      service_.join_location(join.location, join.periods,
+                                             join.deadline)};
+  }
+  std::vector<std::uint8_t> payload = encode_wire_message(reply);
+  if (payload.size() <= StreamDecoder::kMaxFrameBytes) return payload;
+  const Status oversize{ErrorCode::kResourceExhausted,
+                        "reply exceeds the frame limit"};
+  if (auto* query = std::get_if<QueryReply>(&reply)) {
+    query->response = QueryResponse{};
+    query->response.status = oversize;
+  } else {
+    std::get<JoinReply>(reply).join = LocationJoin{oversize, {}, {}};
+  }
+  return encode_wire_message(reply);
 }
 
 void PtmdServer::handle_repl_subscribe(Conn& conn, const ReplSubscribe& sub) {
@@ -594,8 +694,12 @@ void PtmdServer::finish_ingest(std::uint64_t conn_id, std::uint64_t location,
 }
 
 void PtmdServer::send_message(Conn& conn, const WireMessage& message) {
-  const std::vector<std::uint8_t> wire =
-      frame_payload(encode_wire_message(message));
+  send_payload(conn, encode_wire_message(message));
+}
+
+void PtmdServer::send_payload(Conn& conn,
+                              std::span<const std::uint8_t> payload) {
+  const std::vector<std::uint8_t> wire = frame_payload(payload);
   conn.outbuf.insert(conn.outbuf.end(), wire.begin(), wire.end());
   flush(conn);
 }
@@ -667,6 +771,11 @@ void PtmdServer::sweep_idle() {
     const std::uint64_t now = EventLoop::now_ms();
     std::vector<int> stale;
     for (const auto& [fd, conn] : conns_) {
+      // Replication links are exempt: the stream carries no heartbeat, so
+      // a quiet primary would otherwise sever every follower each timeout
+      // and force a full re-snapshot.  A dead subscriber still closes on
+      // its write error or hangup.
+      if (conn->repl_subscriber) continue;
       if (conn->pending_ingests == 0 &&
           now - conn->last_activity_ms > options_.idle_timeout_ms) {
         stale.push_back(fd);

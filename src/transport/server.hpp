@@ -51,6 +51,13 @@
 // `transport_repl_lag` gauge.  An optional second listener
 // (`repl_endpoint`) isolates replication traffic from client ingest; both
 // listeners speak the same protocol and the same auth policy.
+//
+// Queries (docs/cluster.md, *Query push-down*): a query-call runs through
+// the node's QueryService::run and a join-call through join_location,
+// answered with the caller's correlation id.  A call that reads little
+// stored data runs inline on the loop thread; a larger one goes to the
+// call worker thread, so a big join cannot hold up the acks, heartbeats
+// and replication the loop serves meanwhile.
 #pragma once
 
 #include <atomic>
@@ -196,8 +203,15 @@ class PtmdServer {
     TraceContext trace;
   };
 
+  /// A query-call or join-call handed to the call worker.
+  struct CallJob {
+    std::uint64_t conn_id = 0;
+    WireMessage call;
+  };
+
   void loop_main();
   void worker_main();
+  void call_worker_main();
   void on_acceptable(Socket& listener, bool& paused_flag);
   void pause_accepts(Socket& listener, bool& paused_flag);
   void on_conn_event(int fd, std::uint32_t events);
@@ -207,6 +221,15 @@ class PtmdServer {
   /// `conn` may be destroyed during the call.
   void reject_auth(Conn& conn, AuthRejectCode code);
   void handle_frame(Conn& conn, const Frame& frame);
+  /// Answers a query-call or join-call inline or via the call worker.
+  void handle_call(Conn& conn, WireMessage call);
+  /// Stored bitmap bytes `call` is expected to read.
+  [[nodiscard]] std::size_t call_cost_bytes(const WireMessage& call) const;
+  /// Runs `call` and encodes its reply (any thread).  A reply too large
+  /// for a frame - its size is the caller's to set - becomes an error
+  /// reply, since framing it would abort the daemon.
+  [[nodiscard]] std::vector<std::uint8_t> answer_call(
+      const WireMessage& call) const;
   /// Opens (or restarts) a replication subscription on `conn` and begins
   /// the snapshot stream; `conn` may be destroyed during the call.
   void handle_repl_subscribe(Conn& conn, const ReplSubscribe& sub);
@@ -222,6 +245,7 @@ class PtmdServer {
                      const Status& status,
                      const std::optional<TrafficRecord>& forwarded);
   void send_message(Conn& conn, const WireMessage& message);
+  void send_payload(Conn& conn, std::span<const std::uint8_t> payload);
   void flush(Conn& conn);
   void update_interest(Conn& conn);
   void pause_reads(Conn& conn, std::uint64_t resume_after_ms);
@@ -242,6 +266,7 @@ class PtmdServer {
   bool repl_accepts_paused_ = false;
   std::thread loop_thread_;
   std::vector<std::thread> workers_;
+  std::thread call_worker_;
   std::atomic<bool> running_{false};
 
   // Loop-thread state.
@@ -255,6 +280,10 @@ class PtmdServer {
   std::mutex jobs_mu_;
   std::condition_variable jobs_cv_;
   std::deque<IngestJob> jobs_;
+  // Call worker queue, guarded the same way.
+  std::mutex calls_mu_;
+  std::condition_variable calls_cv_;
+  std::deque<CallJob> calls_;
 
   Counter& accepted_;         ///< transport_accepted_total
   Counter& accept_backoffs_;  ///< transport_accept_backoffs_total
@@ -266,6 +295,7 @@ class PtmdServer {
   Counter& auth_failures_;    ///< transport_auth_failures_total (timeouts)
   Counter& auth_rejects_;     ///< transport_auth_rejects_total
   Counter& repl_records_;     ///< transport_repl_records_total
+  Counter& calls_offloaded_;  ///< transport_calls_offloaded_total
   Gauge& connections_;        ///< transport_connections
   Gauge& repl_subscribers_;   ///< transport_repl_subscribers
   Gauge& repl_lag_;           ///< transport_repl_lag (sent - acked)

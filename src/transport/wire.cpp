@@ -1,6 +1,7 @@
 #include "transport/wire.hpp"
 
 #include "common/serialize.hpp"
+#include "transport/query_codec.hpp"
 
 namespace ptm::transport {
 
@@ -48,11 +49,15 @@ WireKind wire_kind(const WireMessage& message) noexcept {
     WireKind operator()(const ReplSnapshotEnd&) const {
       return WireKind::kReplSnapshotEnd;
     }
-    WireKind operator()(const RecordsRequest&) const {
-      return WireKind::kRecordsRequest;
+    WireKind operator()(const QueryCall&) const {
+      return WireKind::kQueryCall;
     }
-    WireKind operator()(const RecordsResponse&) const {
-      return WireKind::kRecordsResponse;
+    WireKind operator()(const QueryReply&) const {
+      return WireKind::kQueryReply;
+    }
+    WireKind operator()(const JoinCall&) const { return WireKind::kJoinCall; }
+    WireKind operator()(const JoinReply&) const {
+      return WireKind::kJoinReply;
     }
   };
   return std::visit(Visitor{}, message);
@@ -90,8 +95,10 @@ const char* wire_kind_name(WireKind kind) noexcept {
     case WireKind::kReplAck: return "repl-ack";
     case WireKind::kReplSnapshotBegin: return "repl-snapshot-begin";
     case WireKind::kReplSnapshotEnd: return "repl-snapshot-end";
-    case WireKind::kRecordsRequest: return "records-request";
-    case WireKind::kRecordsResponse: return "records-response";
+    case WireKind::kQueryCall: return "query-call";
+    case WireKind::kQueryReply: return "query-reply";
+    case WireKind::kJoinCall: return "join-call";
+    case WireKind::kJoinReply: return "join-reply";
   }
   return "unknown";
 }
@@ -135,15 +142,24 @@ std::vector<std::uint8_t> encode_wire_message(const WireMessage& message) {
       w.u64(b.live_records);
     }
     void operator()(const ReplSnapshotEnd& e) const { w.u64(e.streamed); }
-    void operator()(const RecordsRequest& req) const {
-      w.u64(req.location);
-      w.u32(static_cast<std::uint32_t>(req.periods.size()));
-      for (std::uint64_t p : req.periods) w.u64(p);
+    void operator()(const QueryCall& call) const {
+      w.u64(call.correlation_id);
+      encode_deadline(w, call.deadline);
+      encode_query_request(w, call.request);
     }
-    void operator()(const RecordsResponse& resp) const {
-      w.u64(resp.location);
-      w.u32(static_cast<std::uint32_t>(resp.records.size()));
-      for (const auto& rec : resp.records) w.bytes(rec);
+    void operator()(const QueryReply& reply) const {
+      w.u64(reply.correlation_id);
+      encode_query_response(w, reply.response);
+    }
+    void operator()(const JoinCall& call) const {
+      w.u64(call.correlation_id);
+      encode_deadline(w, call.deadline);
+      w.u64(call.location);
+      encode_u64_list(w, call.periods);
+    }
+    void operator()(const JoinReply& reply) const {
+      w.u64(reply.correlation_id);
+      encode_location_join(w, reply.join);
     }
   };
   std::visit(Visitor{w}, message);
@@ -300,51 +316,47 @@ Result<WireMessage> decode_wire_message(
       decoded = WireMessage{ReplSnapshotEnd{*streamed}};
       break;
     }
-    case WireKind::kRecordsRequest: {
-      RecordsRequest req;
-      auto loc = r.u64();
-      if (!loc) return loc.status();
-      req.location = *loc;
-      auto count = r.u32();
-      if (!count) return count.status();
-      // Guard the reserve against a lying count: each period is 8 bytes,
-      // so a count beyond remaining/8 cannot be honest.
-      if (*count > r.remaining() / 8) {
-        return Status{ErrorCode::kParseError,
-                      "records-request: period count exceeds payload"};
-      }
-      req.periods.reserve(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto p = r.u64();
-        if (!p) return p.status();
-        req.periods.push_back(*p);
-      }
-      decoded = WireMessage{std::move(req)};
+    case WireKind::kQueryCall: {
+      auto id = r.u64();
+      if (!id) return id.status();
+      auto deadline = decode_deadline(r);
+      if (!deadline) return deadline.status();
+      auto request = decode_query_request(r, *deadline);
+      if (!request) return request.status();
+      decoded = WireMessage{QueryCall{*id, std::move(*request), *deadline}};
       break;
     }
-    case WireKind::kRecordsResponse: {
-      RecordsResponse resp;
-      auto loc = r.u64();
-      if (!loc) return loc.status();
-      resp.location = *loc;
-      auto count = r.u32();
-      if (!count) return count.status();
-      // Each record blob carries at least its own u32 length prefix.
-      if (*count > r.remaining() / 4) {
-        return Status{ErrorCode::kParseError,
-                      "records-response: record count exceeds payload"};
-      }
-      resp.records.reserve(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto rec = r.bytes();
-        if (!rec) return rec.status();
-        if (rec->empty()) {
-          return Status{ErrorCode::kParseError,
-                        "records-response: empty record"};
-        }
-        resp.records.push_back(std::move(*rec));
-      }
-      decoded = WireMessage{std::move(resp)};
+    case WireKind::kQueryReply: {
+      auto id = r.u64();
+      if (!id) return id.status();
+      auto response = decode_query_response(r);
+      if (!response) return response.status();
+      decoded = WireMessage{QueryReply{*id, std::move(*response)}};
+      break;
+    }
+    case WireKind::kJoinCall: {
+      JoinCall call;
+      auto id = r.u64();
+      if (!id) return id.status();
+      auto deadline = decode_deadline(r);
+      if (!deadline) return deadline.status();
+      auto location = r.u64();
+      if (!location) return location.status();
+      auto periods = decode_u64_list(r);
+      if (!periods) return periods.status();
+      call.correlation_id = *id;
+      call.deadline = *deadline;
+      call.location = *location;
+      call.periods = std::move(*periods);
+      decoded = WireMessage{std::move(call)};
+      break;
+    }
+    case WireKind::kJoinReply: {
+      auto id = r.u64();
+      if (!id) return id.status();
+      auto join = decode_location_join(r);
+      if (!join) return join.status();
+      decoded = WireMessage{JoinReply{*id, std::move(*join)}};
       break;
     }
   }

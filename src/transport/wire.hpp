@@ -28,10 +28,16 @@
 //            | 14 repl-ack        payload = acked_seq(u64)
 //            | 15 repl-snapshot-begin  payload = live_records(u64)
 //            | 16 repl-snapshot-end    payload = streamed(u64)
-//            | 17 records-request payload = location(u64) count(u32)
-//                                           period(u64)*count  (0 = all)
-//            | 18 records-response payload = location(u64) count(u32)
-//                                           bytes(record)*count
+//            | 19 query-call      payload = id(u64) budget_ms(u64) request
+//            | 20 query-reply     payload = id(u64) response
+//            | 21 join-call       payload = id(u64) budget_ms(u64)
+//                                           location(u64) periods
+//            | 22 join-reply      payload = id(u64) status periods
+//                                           bytes(join bitmap | empty)
+//
+// Kinds 17 and 18 (records-request/-response, the retired raw-record
+// fetch) are never reused: an old peer's fetch must decode as an unknown
+// kind, not as something else.
 //
 // Kinds 7-11 are the PKI handshake (docs/transport.md, *Authenticated
 // handshake*): the client presents its §II-B certificate, the server
@@ -45,10 +51,17 @@
 // snapshot of every live record the follower should hold (begin / record*
 // / end), then forwards each first-accept ingest live.  Each repl-record
 // carries a per-subscription sequence number the follower acknowledges,
-// so replication lag is observable (`transport_repl_lag`).  Kinds 17-18
-// are the coordinator's scatter-gather fetch: the records stored at one
-// location for an explicit period set (or all periods), used to join
-// cross-partition corridor/p2p queries at the coordinator.
+// so replication lag is observable (`transport_repl_lag`).
+//
+// Kinds 19-22 push queries down to the partition owners (docs/cluster.md,
+// *Query push-down*).  A query-call runs one whole request on the node
+// (QueryService::run) - the ptmctl path and the coordinator's path for
+// single-location shapes.  A join-call asks for one location's first-level
+// AND-join over a period list (QueryService::join_location), so p2p and
+// corridor queries ship one bitmap per location instead of t records.
+// Every call carries a correlation id its reply echoes (a reply to an
+// abandoned call must not answer the next one) and its deadline as the
+// remaining budget in milliseconds (query_codec.hpp).
 //
 // Messages travel length-prefixed on the stream (framing.hpp).  The codec
 // is bounds-checked end to end: bytes arrive from a real network peer, so
@@ -62,8 +75,10 @@
 #include <variant>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "common/status.hpp"
 #include "net/message.hpp"
+#include "query/query_types.hpp"
 
 namespace ptm::transport {
 
@@ -84,8 +99,11 @@ enum class WireKind : std::uint8_t {
   kReplAck = 14,
   kReplSnapshotBegin = 15,
   kReplSnapshotEnd = 16,
-  kRecordsRequest = 17,
-  kRecordsResponse = 18,
+  // 17, 18: retired (records-request / records-response); never reuse.
+  kQueryCall = 19,
+  kQueryReply = 20,
+  kJoinCall = 21,
+  kJoinReply = 22,
 };
 
 /// Why the server refused a handshake.  Distinct codes are part of the
@@ -235,33 +253,43 @@ struct ReplSnapshotEnd {
                          const ReplSnapshotEnd&) = default;
 };
 
-/// Coordinator -> node: the stored records at `location` for the listed
-/// periods (empty = every stored period).  The reply skips periods with no
-/// record - the coordinator computes coverage from what came back.
-struct RecordsRequest {
-  std::uint64_t location = 0;
-  std::vector<std::uint64_t> periods;
-
-  friend bool operator==(const RecordsRequest&,
-                         const RecordsRequest&) = default;
+/// Client -> node: run `request` through the node's QueryService.
+/// `deadline` travels as a remaining budget (query_codec.hpp) and becomes
+/// the decoded request's own deadline; the request's field is not sent.
+struct QueryCall {
+  std::uint64_t correlation_id = 0;
+  QueryRequest request;
+  Deadline deadline{};
 };
 
-/// Node -> coordinator: the matching records, each as its serialized
-/// bytes.  Order follows the store's period order.
-struct RecordsResponse {
-  std::uint64_t location = 0;
-  std::vector<std::vector<std::uint8_t>> records;
+/// Node -> client: the response to the query-call with the same id,
+/// verbatim (its summary is rebuilt from the typed result on decode).
+struct QueryReply {
+  std::uint64_t correlation_id = 0;
+  QueryResponse response;
+};
 
-  friend bool operator==(const RecordsResponse&,
-                         const RecordsResponse&) = default;
+/// Coordinator -> node: the first-level join of `location` over `periods`
+/// (QueryService::join_location).
+struct JoinCall {
+  std::uint64_t correlation_id = 0;
+  std::uint64_t location = 0;
+  std::vector<std::uint64_t> periods;
+  Deadline deadline{};
+};
+
+/// Node -> coordinator: the join for the join-call with the same id.
+struct JoinReply {
+  std::uint64_t correlation_id = 0;
+  LocationJoin join;
 };
 
 using WireMessage =
     std::variant<Frame, Heartbeat, HeartbeatAck, UploadNack, StatsRequest,
                  StatsResponse, AuthHello, AuthChallenge, AuthProof,
                  AuthReject, AuthOk, ReplSubscribe, ReplRecord, ReplAck,
-                 ReplSnapshotBegin, ReplSnapshotEnd, RecordsRequest,
-                 RecordsResponse>;
+                 ReplSnapshotBegin, ReplSnapshotEnd, QueryCall, QueryReply,
+                 JoinCall, JoinReply>;
 
 [[nodiscard]] WireKind wire_kind(const WireMessage& message) noexcept;
 [[nodiscard]] const char* wire_kind_name(WireKind kind) noexcept;

@@ -1,4 +1,5 @@
-// Tests for src/cli/cli.hpp: every ptmctl command end to end, in process.
+// Tests for src/cli/cli.hpp: every ptmctl command end to end, in process
+// (the network commands against an in-process ptmd on a unix socket).
 #include "cli/cli.hpp"
 
 #include <gtest/gtest.h>
@@ -8,8 +9,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "store/record_log.hpp"
+#include "transport/server.hpp"
+#include "transport/socket.hpp"
 
 namespace ptm {
 namespace {
@@ -140,6 +145,75 @@ TEST_F(CliTest, CorridorEstimateAndParsing) {
                     out)
                 .code(),
             ErrorCode::kNotFound);
+}
+
+TEST_F(CliTest, QueryAgainstALiveDaemonMatchesTheLogCommand) {
+  run_ok({"generate", "--out", log_path_, "--t", "5", "--common", "400",
+          "--location", "1", "--location_b", "2", "--seed", "23"});
+  transport::PtmdOptions options;
+  options.endpoint.kind = transport::Endpoint::Kind::kUnix;
+  options.endpoint.path = log_path_ + ".sock";
+  options.idle_timeout_ms = 0;
+  transport::PtmdServer server(options);
+  ASSERT_TRUE(server.start().is_ok());
+  auto contents = read_record_log(log_path_);
+  ASSERT_TRUE(contents.has_value());
+  for (const TrafficRecord& rec : contents->records) {
+    ASSERT_TRUE(server.service().ingest(rec).is_ok());
+  }
+  const std::string endpoint = "unix:" + options.endpoint.path;
+
+  // The estimate text after "<label>: ", up to the end of its line or the
+  // log command's trailing "[s = ...]".
+  const auto estimate_text = [](const std::string& out) {
+    const std::size_t colon = out.find(": ");
+    const std::size_t end = out.find_first_of("[\n", colon);
+    std::string text = out.substr(colon + 2, end - colon - 2);
+    while (!text.empty() && text.back() == ' ') text.pop_back();
+    return text;
+  };
+  const std::string from_log =
+      run_ok({"p2p", "--log", log_path_, "--from", "1", "--to", "2"});
+  const std::vector<std::string> p2p{"--shape", "p2p", "--from", "1",
+                                     "--to", "2", "--periods", "0,1,2,3,4"};
+  std::vector<std::string> direct{"query", "--endpoint", endpoint};
+  direct.insert(direct.end(), p2p.begin(), p2p.end());
+  const std::string from_daemon = run_ok(direct);
+  EXPECT_EQ(estimate_text(from_daemon), estimate_text(from_log));
+
+  // The same daemon as a one-node cluster: the coordinator pushes the
+  // first-level joins down to it and runs the second level itself.
+  std::vector<std::string> clustered{"query", "--cluster", "1@" + endpoint};
+  clustered.insert(clustered.end(), p2p.begin(), p2p.end());
+  const std::string from_cluster = run_ok(clustered);
+  EXPECT_EQ(estimate_text(from_cluster), estimate_text(from_log));
+  EXPECT_NE(from_cluster.find("coverage: 5/5 periods present"),
+            std::string::npos)
+      << from_cluster;
+
+  const std::string recent =
+      run_ok({"query", "--endpoint", endpoint, "--shape", "recent",
+              "--location", "1", "--window", "3"});
+  EXPECT_NE(recent.find("recent-persistent: "), std::string::npos) << recent;
+
+  std::ostringstream out;
+  EXPECT_EQ(run_cli({"query", "--endpoint", endpoint, "--cluster",
+                     "1@" + endpoint, "--shape", "recent", "--location", "1",
+                     "--window", "3"},
+                    out)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(run_cli({"query", "--endpoint", endpoint, "--shape", "median",
+                     "--location", "1"},
+                    out)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(run_cli({"query", "--endpoint", endpoint, "--shape", "volume",
+                     "--location", "9", "--period", "0"},
+                    out)
+                .code(),
+            ErrorCode::kNotFound);
+  server.stop();
 }
 
 TEST_F(CliTest, VolumeMissingRecordIsNotFound) {

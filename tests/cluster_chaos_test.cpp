@@ -13,7 +13,7 @@
 //   * whole-node recovery - the restarted daemon, archive gone, rebuilds
 //     purely from its peers' replication snapshots until it again holds
 //     everything it should;
-//   * scatter-gather stays correct throughout - corridor queries return
+//   * cluster queries stay correct throughout - corridor queries return
 //     internally consistent CoverageReports during the outage and the
 //     exact single-node estimate after convergence;
 //   * bounded reconnects - failover is a redial ladder, not a spin.
@@ -179,27 +179,27 @@ TrafficRecord make_record(std::uint64_t location, std::uint64_t period) {
   return rec;
 }
 
-/// The periods a node currently stores for `location`, via an
-/// authenticated records-request (empty period list = all).
-std::set<std::uint64_t> fetch_periods(transport::SupervisedConnection& conn,
-                                      std::uint64_t location) {
+/// Which of `periods` a node currently stores for `location`: a
+/// kSkipMissing point-persistent query-call's coverage names them, even
+/// when too few are present for an estimate.
+std::set<std::uint64_t> fetch_periods(
+    transport::SupervisedConnection& conn, std::uint64_t location,
+    const std::vector<std::uint64_t>& periods) {
+  static std::uint64_t next_call_id = 0;
   std::set<std::uint64_t> out;
   if (!conn.ensure_connected(Deadline::after(2s)).is_ok()) return out;
-  transport::RecordsRequest request;
-  request.location = location;
-  if (!conn.send(request).is_ok()) return out;
   const Deadline deadline = Deadline::after(2s);
-  for (;;) {
-    auto message = conn.receive(deadline);
-    if (!message) return out;
-    const auto* resp = std::get_if<transport::RecordsResponse>(&*message);
-    if (resp == nullptr || resp->location != location) continue;
-    for (const auto& blob : resp->records) {
-      auto rec = TrafficRecord::deserialize(blob);
-      if (rec) out.insert(rec->period);
-    }
-    return out;
-  }
+  const std::uint64_t id = ++next_call_id;
+  const transport::QueryCall call{
+      id,
+      PointPersistentQuery{location, periods, MissingPolicy::kSkipMissing},
+      deadline};
+  if (!conn.send(call).is_ok()) return out;
+  auto reply = conn.await_reply<transport::QueryReply>(id, deadline);
+  if (!reply) return out;
+  const CoverageReport& coverage = reply->response.coverage;
+  out.insert(coverage.present.begin(), coverage.present.end());
+  return out;
 }
 
 TEST(ClusterChaosTest, WholeNodeKillWithArchiveLossIsAbsorbed) {
@@ -211,6 +211,8 @@ TEST(ClusterChaosTest, WholeNodeKillWithArchiveLossIsAbsorbed) {
   const std::size_t kPeriods = std::min<std::size_t>(
       8 * static_cast<std::size_t>(env_u64("PTM_CHAOS_ITERS", 1)), 16);
   const std::vector<std::uint64_t> kLocations{1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<std::uint64_t> all_periods(kPeriods);
+  for (std::uint64_t p = 0; p < kPeriods; ++p) all_periods[p] = p;
 
   // --- PKI: one CA, one cert per node (outbound repl dials) + the
   // coordinator's own.
@@ -340,7 +342,7 @@ TEST(ClusterChaosTest, WholeNodeKillWithArchiveLossIsAbsorbed) {
           << "): " << delivered.to_string();
       ASSERT_TRUE(reference.ingest(rec).is_ok());
     }
-    // Scatter-gather stays sane mid-outage: the coverage report must
+    // Cluster queries stay sane mid-outage: the coverage report must
     // partition the requested periods, whatever is reachable right now.
     std::vector<std::uint64_t> so_far(period + 1);
     for (std::uint64_t p = 0; p <= period; ++p) so_far[p] = p;
@@ -372,7 +374,9 @@ TEST(ClusterChaosTest, WholeNodeKillWithArchiveLossIsAbsorbed) {
       conn.set_credentials(coord_creds);
       for (std::uint64_t location : kLocations) {
         if (!map.should_hold(i, location)) continue;
-        if (fetch_periods(conn, location).size() != kPeriods) return false;
+        if (fetch_periods(conn, location, all_periods).size() != kPeriods) {
+          return false;
+        }
       }
     }
     return true;
@@ -386,8 +390,6 @@ TEST(ClusterChaosTest, WholeNodeKillWithArchiveLossIsAbsorbed) {
   EXPECT_TRUE(converged) << "restarted node failed to resync from peers";
 
   // --- After convergence the corridor answer is the single-node answer.
-  std::vector<std::uint64_t> all_periods(kPeriods);
-  for (std::uint64_t p = 0; p < kPeriods; ++p) all_periods[p] = p;
   CorridorQuery final_corridor{
       {kLocations[0], kLocations[1], kLocations[2]}, all_periods,
       MissingPolicy::kSkipMissing, Deadline::after(20s)};

@@ -1,9 +1,9 @@
 // Integration tests for the cluster coordinator (docs/cluster.md): ingest
-// routing with replica failover, scatter-gather queries whose estimates
-// match the single-node execution path exactly, partial coverage when a
-// partition has no reachable replica, the no-failover rule for fatal
-// nacks, and cluster_status health polling.  Three in-process
-// ClusterNodes on unix sockets; process-kill failover is
+// routing with replica failover, pushed-down queries whose answers match
+// the single-node execution path exactly (large records included),
+// partial coverage when a partition has no reachable replica, the
+// no-failover rule for fatal nacks, and cluster_status health polling.
+// In-process ClusterNodes on unix sockets; process-kill failover is
 // cluster_chaos_test's job.
 #include "cluster/coordinator.hpp"
 
@@ -13,15 +13,19 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "cluster/node.hpp"
 #include "cluster/partition.hpp"
 #include "common/deadline.hpp"
+#include "core/corridor_persistent.hpp"
 #include "core/traffic_record.hpp"
 #include "query/query_service.hpp"
 #include "query/query_types.hpp"
@@ -127,6 +131,26 @@ class ClusterCoordinatorTest : public ::testing::Test {
     return 0;
   }
 
+  /// What the coordinator reports on a healthy cluster: the single-node
+  /// report merged with a fetch-stage report that names the request's
+  /// periods (none for a recent window), all reached.
+  static CoverageReport healthy_cluster_coverage(const QueryRequest& request,
+                                                 const QueryResponse& local) {
+    CoverageReport fetch;
+    std::visit(
+        [&](const auto& q) {
+          using T = std::decay_t<decltype(q)>;
+          if constexpr (std::is_same_v<T, PointVolumeQuery>) {
+            fetch.requested = {q.period};
+          } else if constexpr (!std::is_same_v<T, RecentPersistentQuery>) {
+            fetch.requested = q.periods;
+          }
+        },
+        request);
+    fetch.present = fetch.requested;
+    return merge_coverage(local.coverage, fetch);
+  }
+
   bool wait_for(const std::function<bool()>& done,
                 std::chrono::milliseconds timeout = 10s) {
     const auto give_up = std::chrono::steady_clock::now() + timeout;
@@ -147,7 +171,10 @@ TEST_F(ClusterCoordinatorTest, ScatterGatherMatchesSingleNodeEstimates) {
   auto coordinator = make_coordinator();
   const PartitionMap& map = coordinator->partition_map();
 
-  // One location per owner, so every query shape crosses partitions.
+  // One location per owner, so every query shape crosses partitions.  The
+  // third location misses period 3: a kSkipMissing corridor through it
+  // finds the other locations' joins covering one period too many and
+  // must ask them again over the periods every location holds.
   std::vector<std::uint64_t> locations;
   for (std::uint64_t id = 1; id <= 3; ++id) {
     locations.push_back(location_owned_by(map, id));
@@ -155,6 +182,7 @@ TEST_F(ClusterCoordinatorTest, ScatterGatherMatchesSingleNodeEstimates) {
   QueryService reference;
   for (std::uint64_t location : locations) {
     for (std::uint64_t period = 0; period < 5; ++period) {
+      if (location == locations[2] && period == 3) continue;
       const TrafficRecord rec = make_record(location, period);
       ASSERT_TRUE(coordinator->ingest(rec, Deadline::after(5s)).is_ok());
       ASSERT_TRUE(reference.ingest(rec).is_ok());
@@ -162,24 +190,170 @@ TEST_F(ClusterCoordinatorTest, ScatterGatherMatchesSingleNodeEstimates) {
   }
 
   const std::vector<std::uint64_t> periods{0, 1, 2, 3, 4};
+  const std::vector<std::uint64_t> two_locations{locations[0], locations[1]};
   std::vector<QueryRequest> requests;
   requests.push_back(PointVolumeQuery{locations[0], 2});
   requests.push_back(PointPersistentQuery{locations[1], periods});
+  requests.push_back(RecentPersistentQuery{locations[0], 3});
+  requests.push_back(
+      RecentPersistentQuery{locations[2], 4, MissingPolicy::kSkipMissing});
   requests.push_back(
       P2PPersistentQuery{locations[0], locations[1], periods});
+  requests.push_back(CorridorQuery{two_locations, periods});
+  requests.push_back(
+      CorridorQuery{locations, periods, MissingPolicy::kSkipMissing});
+  // Failures must match too: a p2p and a strict corridor over the gap.
+  requests.push_back(
+      P2PPersistentQuery{locations[1], locations[2], periods});
   requests.push_back(CorridorQuery{locations, periods});
   for (const QueryRequest& request : requests) {
+    const char* kind = query_kind_name(request);
     const QueryResponse clustered = coordinator->run(request);
     const QueryResponse local = reference.run(request);
-    ASSERT_TRUE(clustered.ok())
-        << query_kind_name(request) << ": " << clustered.status.to_string();
-    ASSERT_TRUE(local.ok());
-    // The coordinator gathers raw records and reruns the single-node
-    // path, so the estimates are identical, not merely close.
-    EXPECT_DOUBLE_EQ(clustered.summary.value, local.summary.value)
-        << query_kind_name(request);
-    EXPECT_TRUE(clustered.coverage.complete());
+    ASSERT_EQ(clustered.status.code(), local.status.code())
+        << kind << ": " << clustered.status.to_string() << " vs "
+        << local.status.to_string();
+    // Owners compute the first-level joins and the coordinator runs the
+    // same second-level code QueryService::run ends in, so the summaries
+    // are identical, not merely close.
+    if (local.ok()) {
+      const EstimateSummary& got = clustered.summary;
+      const EstimateSummary& want = local.summary;
+      EXPECT_EQ(got.kind, want.kind) << kind;
+      EXPECT_DOUBLE_EQ(got.value, want.value) << kind;
+      EXPECT_EQ(std::memcmp(&got.value, &want.value, sizeof(double)), 0)
+          << kind;
+      EXPECT_EQ(std::memcmp(&got.fill, &want.fill, sizeof(double)), 0)
+          << kind;
+      EXPECT_EQ(got.m, want.m) << kind;
+      EXPECT_EQ(got.outcome, want.outcome) << kind;
+      ASSERT_EQ(got.relative_stderr.has_value(),
+                want.relative_stderr.has_value())
+          << kind;
+      if (want.relative_stderr) {
+        EXPECT_EQ(std::memcmp(&*got.relative_stderr, &*want.relative_stderr,
+                              sizeof(double)),
+                  0)
+            << kind;
+      }
+    }
+    // The coverage is the single-node report merged with the fetch stage's
+    // report over the periods the request names, all reached.
+    const CoverageReport want = healthy_cluster_coverage(request, local);
+    EXPECT_EQ(clustered.coverage.requested, want.requested) << kind;
+    EXPECT_EQ(clustered.coverage.present, want.present) << kind;
+    EXPECT_EQ(clustered.coverage.missing, want.missing) << kind;
   }
+}
+
+TEST_F(ClusterCoordinatorTest, SkipMissingCorridorRejoinsOverCommonPeriods) {
+  // A corridor-wide population plus per-location and per-period traffic;
+  // the per-location regulars skip period 3, so a join that covers it
+  // loses them.  The third location misses period 3: the owners of the
+  // other two first join all five periods, and the coordinator must ask
+  // them again over the four every location holds.
+  start_cluster(3, 2, "rejoin");
+  auto coordinator = make_coordinator();
+  const PartitionMap& map = coordinator->partition_map();
+  std::vector<std::uint64_t> locations;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    locations.push_back(location_owned_by(map, id));
+  }
+  const auto record = [](std::uint64_t location, std::uint64_t period) {
+    TrafficRecord rec;
+    rec.location = location;
+    rec.period = period;
+    rec.bits = Bitmap(256);
+    for (std::uint64_t c = 0; c < 24; ++c) rec.bits.set((c * 37 + 11) % 256);
+    for (std::uint64_t j = 0; j < 16 && period != 3; ++j) {
+      rec.bits.set((location * 53 + j * 29 + 7) % 256);
+    }
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      rec.bits.set((location * 17 + period * 71 + k * 13) % 256);
+    }
+    return rec;
+  };
+  QueryService reference;
+  std::vector<std::vector<Bitmap>> naive(locations.size());
+  for (std::size_t l = 0; l < locations.size(); ++l) {
+    for (std::uint64_t period = 0; period < 5; ++period) {
+      if (l == 2 && period == 3) continue;
+      const TrafficRecord rec = record(locations[l], period);
+      ASSERT_TRUE(coordinator->ingest(rec, Deadline::after(5s)).is_ok());
+      ASSERT_TRUE(reference.ingest(rec).is_ok());
+      naive[l].push_back(rec.bits);
+    }
+  }
+
+  const std::vector<std::uint64_t> periods{0, 1, 2, 3, 4};
+  const QueryResponse tolerant = coordinator->run(
+      CorridorQuery{locations, periods, MissingPolicy::kSkipMissing});
+  ASSERT_TRUE(tolerant.ok()) << tolerant.status.to_string();
+  EXPECT_EQ(tolerant.coverage.present,
+            (std::vector<std::uint64_t>{0, 1, 2, 4}));
+  EXPECT_EQ(tolerant.coverage.missing, std::vector<std::uint64_t>{3});
+  // The answer is the strict corridor over the common periods - a query
+  // whose coverage is complete, so it never needs a second round.
+  const QueryResponse common = coordinator->run(
+      CorridorQuery{locations, tolerant.coverage.present});
+  ASSERT_TRUE(common.ok()) << common.status.to_string();
+  EXPECT_DOUBLE_EQ(tolerant.summary.value, common.summary.value);
+  EXPECT_DOUBLE_EQ(
+      tolerant.summary.value,
+      reference.run(CorridorQuery{locations, periods,
+                                  MissingPolicy::kSkipMissing})
+          .summary.value);
+  // And the data can tell: joins left over all five periods at the
+  // complete locations would give another estimate.
+  auto skipped_rejoin = estimate_corridor_persistent(naive, 3);
+  ASSERT_TRUE(skipped_rejoin.has_value());
+  EXPECT_NE(skipped_rejoin->n_corridor, tolerant.summary.value);
+}
+
+TEST_F(ClusterCoordinatorTest, LargeRecordsKeepTheirNewestPeriods) {
+  // 80 periods of 128 KiB bitmaps (10 MiB at one location) on one node.
+  // A recent window must run over the newest periods and an explicit
+  // query must keep every tail period: no reply size cap may silently
+  // drop the periods that sort last.
+  start_cluster(1, 1, "big");
+  auto coordinator = make_coordinator();
+  constexpr std::uint64_t kLocation = 42;
+  constexpr std::uint64_t kPeriods = 80;
+  QueryService reference;
+  std::vector<std::uint64_t> all_periods;
+  for (std::uint64_t period = 0; period < kPeriods; ++period) {
+    TrafficRecord rec;
+    rec.location = kLocation;
+    rec.period = period;
+    rec.bits = Bitmap(std::size_t{128} << 13);  // 128 KiB
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      rec.bits.set((i * 7919 + period * 104729 * (i % 3)) % rec.bits.size());
+    }
+    ASSERT_TRUE(coordinator->ingest(rec, Deadline::after(10s)).is_ok());
+    ASSERT_TRUE(reference.ingest(rec).is_ok());
+    all_periods.push_back(period);
+  }
+
+  const QueryResponse recent = coordinator->run(
+      RecentPersistentQuery{kLocation, 5, MissingPolicy::kFail,
+                            Deadline::after(10s)});
+  ASSERT_TRUE(recent.ok()) << recent.status.to_string();
+  EXPECT_EQ(recent.coverage.requested,
+            (std::vector<std::uint64_t>{75, 76, 77, 78, 79}));
+  EXPECT_TRUE(recent.coverage.complete());
+  EXPECT_DOUBLE_EQ(
+      recent.summary.value,
+      reference.run(RecentPersistentQuery{kLocation, 5}).summary.value);
+
+  const PointPersistentQuery explicit_periods{
+      kLocation, all_periods, MissingPolicy::kSkipMissing,
+      Deadline::after(10s)};
+  const QueryResponse whole = coordinator->run(explicit_periods);
+  ASSERT_TRUE(whole.ok()) << whole.status.to_string();
+  EXPECT_EQ(whole.coverage.present, all_periods);
+  EXPECT_TRUE(whole.coverage.missing.empty());
+  EXPECT_DOUBLE_EQ(whole.summary.value,
+                   reference.run(explicit_periods).summary.value);
 }
 
 TEST_F(ClusterCoordinatorTest, RecordsReplicateToEveryAssignedHolder) {
@@ -229,7 +403,7 @@ TEST_F(ClusterCoordinatorTest, IngestFailsOverWhenTheOwnerIsDown) {
   const std::uint64_t fallback = map.replicas(location)[1];
   EXPECT_TRUE(node(fallback)->server().service().has_record(location, 0));
 
-  // And the gather path reads it back through the same failover.
+  // And the forwarded query reads it back through the same failover.
   const QueryResponse response =
       coordinator->run(PointVolumeQuery{location, 0, Deadline::after(5s)});
   EXPECT_TRUE(response.ok()) << response.status.to_string();

@@ -13,9 +13,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cluster/node.hpp"
 #include "common/random.hpp"
@@ -299,6 +301,80 @@ TEST(ReplicationClientTest, TwoClusterNodesConvergeBothWays) {
 
   node1->stop();
   node2->stop();
+}
+
+TEST(ReplicationClientTest, IdleSweepLeavesQuietReplicationLinksOpen) {
+  // Replication carries no heartbeat, so after the last record a
+  // subscription is silent.  The idle sweep must not treat that as a dead
+  // peer: closing it would make every follower redial and pull a full
+  // snapshot again once per timeout.
+  constexpr std::uint64_t kIdleMs = 60;
+  auto spec = [&](std::uint64_t id) {
+    ClusterNodeSpec s;
+    s.node_id = id;
+    s.client = test_endpoint("idle" + std::to_string(id));
+    s.repl = test_endpoint("idle" + std::to_string(id) + "r");
+    return s;
+  };
+  ClusterConfig config;
+  config.nodes = {spec(1), spec(2)};
+  config.replication_factor = 2;
+  std::vector<std::unique_ptr<ClusterNode>> nodes;
+  for (std::uint64_t id : {1, 2}) {
+    ClusterNodeOptions options;
+    options.config = config;
+    options.node_id = id;
+    options.server.idle_timeout_ms = kIdleMs;
+    auto node = ClusterNode::create(std::move(options));
+    ASSERT_TRUE(node.has_value());
+    ASSERT_TRUE((*node)->start().is_ok());
+    nodes.push_back(std::move(*node));
+  }
+  {
+    transport::SupervisedConnection conn(nodes[0]->server().options().endpoint,
+                                         fast_tuning());
+    ASSERT_TRUE(conn.ensure_connected(Deadline::after(2s)).is_ok());
+    transport::UplinkClient uplink(conn, MacAddress{0x10}, MacAddress{0x20});
+    for (std::uint64_t period = 0; period < 3; ++period) {
+      auto reply = uplink.deliver(make_record(300, period), {},
+                                  Deadline::after(2s));
+      ASSERT_TRUE(reply.has_value()) << reply.status().to_string();
+      ASSERT_TRUE(reply->acked);
+    }
+  }
+  ASSERT_TRUE(wait_for([&] {
+    return nodes[1]->server().service().record_count() == 3;
+  }));
+
+  const auto subscriptions = [&] {
+    std::uint64_t total = 0;
+    for (const auto& node : nodes) {
+      for (const auto& client : node->replication_clients()) {
+        total += client->subscriptions();
+      }
+    }
+    return total;
+  };
+  const auto repl_records = [&] {
+    std::uint64_t total = 0;
+    for (const auto& node : nodes) {
+      total += node->server().telemetry().snapshot().counter_sum(
+          "transport_repl_records_total");
+    }
+    return total;
+  };
+  ASSERT_TRUE(wait_for([&] { return subscriptions() == 2; }));  // per link
+  const std::uint64_t subscriptions_before = subscriptions();
+  const std::uint64_t records_before = repl_records();
+  std::this_thread::sleep_for(std::chrono::milliseconds(8 * kIdleMs));
+  EXPECT_EQ(subscriptions(), subscriptions_before);
+  EXPECT_EQ(repl_records(), records_before);
+  for (const auto& node : nodes) {
+    EXPECT_EQ(node->server().telemetry().snapshot().find(
+                  "transport_repl_subscribers")->gauge_value,
+              1);
+  }
+  for (auto& node : nodes) node->stop();
 }
 
 }  // namespace

@@ -382,8 +382,8 @@ TEST(Fuzz, ArchiveRestoreSkipsValidFrameWrappingInvalidRecord) {
 }
 
 TEST(Fuzz, ReplicationWireEnvelopesRejectGarbageGracefully) {
-  // The cluster replication kinds (repl-subscribe .. records-response)
-  // arrive from peer nodes - a trust boundary like any other socket.
+  // The cluster kinds (replication 12-16, query push-down 19-22) arrive
+  // from peer nodes and clients - a trust boundary like any other socket.
   // Random kind-stamped garbage must come back as clean ParseError or a
   // structurally valid message, and any record blob that survives the
   // envelope must still pass TrafficRecord's own validation gate before
@@ -392,9 +392,9 @@ TEST(Fuzz, ReplicationWireEnvelopesRejectGarbageGracefully) {
   int accepted = 0;
   for (int i = 0; i < 5000; ++i) {
     auto bytes = random_bytes(rng, 256);
-    // Stamp a replication kind so the fuzz exercises those decoders
-    // instead of dying at the kind byte.
-    const std::uint8_t kinds[] = {12, 13, 14, 15, 16, 17, 18};
+    // Stamp a cluster kind so the fuzz exercises those decoders instead
+    // of dying at the kind byte.
+    const std::uint8_t kinds[] = {12, 13, 14, 15, 16, 19, 20, 21, 22};
     if (bytes.empty()) bytes.push_back(0);
     bytes[0] = kinds[rng.below(std::size(kinds))];
     const auto decoded = transport::decode_wire_message(bytes);
@@ -407,11 +407,85 @@ TEST(Fuzz, ReplicationWireEnvelopesRejectGarbageGracefully) {
       const auto record = TrafficRecord::deserialize(repl->record);
       if (record.has_value()) EXPECT_TRUE(record->validate().is_ok());
     }
+    // A reply that survives the codec honors its contract: an estimate
+    // exactly when ok, a join exactly when ok with periods present.
+    if (const auto* reply = std::get_if<transport::QueryReply>(&*decoded)) {
+      const QueryResponse& response = reply->response;
+      EXPECT_EQ(response.ok(),
+                !std::holds_alternative<std::monostate>(response.result));
+    }
+    if (const auto* join = std::get_if<transport::JoinReply>(&*decoded)) {
+      EXPECT_EQ(join->join.status.is_ok() && !join->join.present.empty(),
+                !join->join.join.empty());
+    }
   }
   // Fixed-width kinds (acks, snapshot markers) decode from random bytes
   // routinely; the list-carrying kinds nearly never.  Either way the
   // decode is bounded and clean - the assertion above is the test.
   EXPECT_LT(accepted, 5000);
+}
+
+TEST(Fuzz, QueryPushDownEnvelopesSurviveBitFlipsTruncationAndGarbage) {
+  // Valid query/join traffic, then corrupted the three ways a torn stream
+  // corrupts it.  Decoding either fails with ParseError or yields a
+  // message that still honors the reply contracts the coordinator relies
+  // on (an estimate exactly when ok; a join exactly when ok with periods).
+  QueryService service;
+  for (std::uint64_t period = 0; period < 6; ++period) {
+    TrafficRecord rec;
+    rec.location = 4;
+    rec.period = period;
+    rec.bits = Bitmap(period < 3 ? 128 : 256);
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      rec.bits.set((i * 11 + period) % rec.bits.size());
+    }
+    ASSERT_TRUE(service.ingest(rec).is_ok());
+  }
+  const std::vector<std::uint64_t> periods{0, 1, 2, 3, 4, 5, 6};
+  const std::vector<transport::WireMessage> corpus{
+      transport::QueryCall{1, CorridorQuery{{4, 5}, periods}},
+      transport::QueryCall{2, RecentPersistentQuery{4, 4}},
+      transport::QueryReply{3, service.run(PointPersistentQuery{
+                                   4, periods, MissingPolicy::kSkipMissing})},
+      transport::QueryReply{4, service.run(PointVolumeQuery{4, 5})},
+      transport::QueryReply{5, service.run(PointVolumeQuery{4, 9})},
+      transport::JoinCall{6, 4, periods, {}},
+      transport::JoinReply{7, service.join_location(4, periods)},
+  };
+  Xoshiro256 rng(0x9D0Du);
+  for (int i = 0; i < 6000; ++i) {
+    auto bytes = transport::encode_wire_message(corpus[i % corpus.size()]);
+    switch (i % 3) {
+      case 0:
+        for (std::size_t f = 0, n = 1 + rng.below(4); f < n; ++f) {
+          bytes[rng.below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      case 1:
+        bytes.resize(rng.below(bytes.size()));
+        break;
+      default:
+        for (std::size_t g = 0, n = 1 + rng.below(16); g < n; ++g) {
+          bytes.push_back(static_cast<std::uint8_t>(rng.next()));
+        }
+        break;
+    }
+    const auto decoded = transport::decode_wire_message(bytes);
+    if (!decoded.has_value()) {
+      EXPECT_EQ(decoded.status().code(), ErrorCode::kParseError);
+      continue;
+    }
+    if (const auto* reply = std::get_if<transport::QueryReply>(&*decoded)) {
+      const QueryResponse& response = reply->response;
+      EXPECT_EQ(response.ok(),
+                !std::holds_alternative<std::monostate>(response.result));
+    }
+    if (const auto* join = std::get_if<transport::JoinReply>(&*decoded)) {
+      EXPECT_EQ(join->join.status.is_ok() && !join->join.present.empty(),
+                !join->join.join.empty());
+    }
+  }
 }
 
 TEST(Fuzz, RsaVerifyRejectsRandomSignatures) {

@@ -133,8 +133,12 @@ TEST(TelemetryRegistry, ConcurrentRegisterRecordSnapshotStress) {
       const TelemetryLabels labels{{"worker", std::to_string(t % 4)}};
       for (int i = 0; i < kIters; ++i) {
         reg.counter("events", labels).add();
+        // The level and its high-water mark live in separate gauges, as
+        // AdmissionController keeps in_flight / peak_in_flight: raising
+        // the level's own value to a stale max would overwrite another
+        // thread's decrement.
         Gauge& depth = reg.gauge("depth");
-        depth.update_max(depth.add(1));
+        reg.gauge("depth_peak").update_max(depth.add(1));
         depth.sub(1);
         reg.histogram("lat").record(static_cast<std::uint64_t>(i));
       }
@@ -148,6 +152,9 @@ TEST(TelemetryRegistry, ConcurrentRegisterRecordSnapshotStress) {
   EXPECT_EQ(snap.counter_sum("events"),
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_EQ(snap.find("depth")->gauge_value, 0);
+  const std::int64_t peak = snap.find("depth_peak")->gauge_value;
+  EXPECT_GE(peak, 1);
+  EXPECT_LE(peak, kThreads);
   EXPECT_EQ(snap.find("lat")->histogram.count,
             static_cast<std::uint64_t>(kThreads) * kIters);
 }

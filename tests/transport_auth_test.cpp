@@ -353,6 +353,25 @@ TEST(TransportAuthTest, MidHandshakeFaultsRetryCleanlyThenAuthenticate) {
   server.stop();
 }
 
+TEST(TransportAuthTest, HandshakeTimingOutAtTheDeadlineDoesNotSpinRedials) {
+  // The lost proof leaves the handshake waiting out the caller's whole
+  // deadline, less the fraction of a millisecond the waits round away.
+  // Redialing in that fraction cannot authenticate anything; the dial
+  // loop must give up instead of opening a connection per iteration.
+  TestPki pki(12);
+  PtmdServer server(auth_options("spin", pki.ca.public_key()));
+  ASSERT_TRUE(server.start().is_ok());
+  SupervisedConnection conn(server.options().endpoint, fast_tuning());
+  conn.set_credentials(pki.creds);
+  conn.set_socket_faults({{0, {{1, SocketFaultAction::kDropFrame, 0, 0}}}});
+  const Status status = conn.ensure_connected(Deadline::after(300ms));
+  EXPECT_EQ(status.code(), ErrorCode::kDeadlineExceeded) << status.to_string();
+  EXPECT_LE(conn.connections_opened(), 2u);
+  // A later dial with time to spare authenticates normally.
+  ASSERT_TRUE(conn.ensure_connected(Deadline::after(5s)).is_ok());
+  server.stop();
+}
+
 TEST(TransportAuthTest, ReconnectRunsTheHandshakeAgain) {
   TestPki pki(10);
   PtmdServer server(auth_options("redial", pki.ca.public_key()));

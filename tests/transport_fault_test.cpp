@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -23,6 +24,7 @@
 #include "crypto/certificate.hpp"
 #include "crypto/rsa.hpp"
 #include "net/message.hpp"
+#include "query/query_service.hpp"
 #include "transport/auth.hpp"
 #include "transport/socket.hpp"
 
@@ -266,18 +268,55 @@ std::vector<WireMessage> replication_corpus() {
       ReplAck{9},
       ReplSnapshotBegin{1000},
       ReplSnapshotEnd{42},
-      RecordsRequest{5, {0, 1, 2}},
-      RecordsRequest{5, {}},  // "all periods" form
-      RecordsResponse{5, {blob, blob}},
   };
 }
 
-TEST(TransportFuzzTest, BitFlippedReplicationEnvelopesNeverCrash) {
-  // The replication stream crosses the same trust boundary the upload
-  // path does - a compromised or corrupted peer node speaks it - so the
-  // kinds 12-18 codecs get the same adversarial treatment.
-  Xoshiro256 rng(0x4E91u);
-  const auto corpus = replication_corpus();
+/// Query push-down traffic: a call of every shape, and replies and joins
+/// taken from a real service (estimates, coverage gaps, failures).
+std::vector<WireMessage> query_corpus() {
+  QueryService service;
+  for (std::uint64_t period = 0; period < 4; ++period) {
+    for (std::uint64_t location : {1, 2}) {
+      TrafficRecord rec;
+      rec.location = location;
+      rec.period = period;
+      rec.bits = Bitmap(128);
+      for (std::uint64_t i = 0; i < 30; ++i) {
+        rec.bits.set((i * 5 + location * 3 + period) % 128);
+      }
+      (void)service.ingest(rec);
+    }
+  }
+  const std::vector<std::uint64_t> periods{0, 1, 2, 3, 4};
+  std::vector<WireMessage> corpus{
+      QueryCall{1, PointVolumeQuery{1, 2}},
+      QueryCall{2, PointPersistentQuery{1, periods,
+                                        MissingPolicy::kSkipMissing}},
+      QueryCall{3, RecentPersistentQuery{2, 3},
+                Deadline::after(std::chrono::seconds(5))},
+      QueryCall{4, P2PPersistentQuery{1, 2, periods}},
+      QueryCall{5, CorridorQuery{{1, 2}, periods,
+                                 MissingPolicy::kSkipMissing}},
+      JoinCall{6, 1, periods, {}},
+      JoinReply{7, service.join_location(1, periods)},
+      JoinReply{8, service.join_location(9, periods)},
+  };
+  for (const QueryRequest& request : std::vector<QueryRequest>{
+           PointVolumeQuery{1, 2},
+           PointPersistentQuery{1, periods, MissingPolicy::kSkipMissing},
+           P2PPersistentQuery{1, 2, {0, 1, 2}},
+           CorridorQuery{{1, 2}, periods, MissingPolicy::kSkipMissing},
+           P2PPersistentQuery{1, 2, periods}}) {
+    corpus.push_back(QueryReply{9, service.run(request)});
+  }
+  return corpus;
+}
+
+/// Flips 1-4 random bits of corpus messages: every outcome is a clean
+/// ParseError or a structurally valid message.
+void flipped_bits_decode_cleanly(const std::vector<WireMessage>& corpus,
+                                 std::uint64_t seed) {
+  Xoshiro256 rng(seed);
   for (std::size_t iter = 0; iter < fuzz_iterations(); ++iter) {
     auto mutated = encode_wire_message(corpus[iter % corpus.size()]);
     const std::size_t flips = 1 + rng.below(4);
@@ -292,12 +331,11 @@ TEST(TransportFuzzTest, BitFlippedReplicationEnvelopesNeverCrash) {
   }
 }
 
-TEST(TransportFuzzTest, MutatedReplicationEnvelopesNeverCrash) {
-  // Beyond single flips: truncation and trailing garbage on every
-  // replication kind, mirroring what a torn or resynced-at-the-wrong-
-  // offset stream would feed the decoder.
-  Xoshiro256 rng(0x4E92u);
-  const auto corpus = replication_corpus();
+/// Beyond single flips: truncation and trailing garbage, mirroring what a
+/// torn or resynced-at-the-wrong-offset stream would feed the decoder.
+void mutated_envelopes_decode_cleanly(const std::vector<WireMessage>& corpus,
+                                      std::uint64_t seed) {
+  Xoshiro256 rng(seed);
   for (std::size_t iter = 0; iter < fuzz_iterations(); ++iter) {
     auto mutated = encode_wire_message(corpus[iter % corpus.size()]);
     switch (rng.below(3)) {
@@ -322,6 +360,27 @@ TEST(TransportFuzzTest, MutatedReplicationEnvelopesNeverCrash) {
       EXPECT_EQ(decoded.status().code(), ErrorCode::kParseError);
     }
   }
+}
+
+TEST(TransportFuzzTest, BitFlippedReplicationEnvelopesNeverCrash) {
+  // The replication stream crosses the same trust boundary the upload
+  // path does - a compromised or corrupted peer node speaks it - so the
+  // kinds 12-16 codecs get the same adversarial treatment.
+  flipped_bits_decode_cleanly(replication_corpus(), 0x4E91u);
+}
+
+TEST(TransportFuzzTest, MutatedReplicationEnvelopesNeverCrash) {
+  mutated_envelopes_decode_cleanly(replication_corpus(), 0x4E92u);
+}
+
+TEST(TransportFuzzTest, BitFlippedQueryEnvelopesNeverCrash) {
+  // Query and join calls arrive from any client; replies arrive at the
+  // coordinator from any node.  Kinds 19-22 get the same treatment.
+  flipped_bits_decode_cleanly(query_corpus(), 0x4E94u);
+}
+
+TEST(TransportFuzzTest, MutatedQueryEnvelopesNeverCrash) {
+  mutated_envelopes_decode_cleanly(query_corpus(), 0x4E95u);
 }
 
 TEST(TransportFuzzTest, MutatedRecordBlobsInsideReplEnvelopesFailCleanly) {

@@ -1,8 +1,9 @@
 // Integration tests for the socket transport: endpoint parsing, a live
 // PtmdServer on a unix socket, the SupervisedConnection lifecycle
 // (connect, heartbeat RTT, half-open detection, scripted severs and
-// reconnects), uplink delivery, stats exchange, and the server's explicit
-// backpressure NACK.
+// reconnects), uplink delivery, stats exchange, the server's explicit
+// backpressure NACK, and query/join calls (answered inline or on the call
+// worker; oversize ones get error replies).
 #include "transport/connection.hpp"
 #include "transport/server.hpp"
 #include "transport/socket.hpp"
@@ -16,6 +17,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -25,6 +27,7 @@
 #include "common/deadline.hpp"
 #include "core/traffic_record.hpp"
 #include "net/message.hpp"
+#include "query/query_types.hpp"
 #include "transport/framing.hpp"
 #include "transport/wire.hpp"
 
@@ -658,6 +661,123 @@ TEST_F(PtmdServerTest, ReplListenerSpeaksTheFullProtocol) {
   EXPECT_NE(std::get<StatsResponse>(*reply).json.find(
                 "transport_repl_subscribers"),
             std::string::npos);
+  server.stop();
+}
+
+/// Records of `GetParam()` bits, a third of them set: 128-bit records make
+/// every call cheap enough to answer inline, 1 Mbit (128 KiB) records make
+/// 4-period calls expensive enough for the call worker.
+class PtmdCallTest : public PtmdServerTest,
+                     public ::testing::WithParamInterface<std::size_t> {
+ protected:
+  TrafficRecord filled_record(std::uint64_t location, std::uint64_t period) {
+    TrafficRecord rec;
+    rec.location = location;
+    rec.period = period;
+    rec.bits = Bitmap(GetParam());
+    for (std::size_t i = 0; i < GetParam() / 3; ++i) rec.bits.set(i * 3);
+    rec.bits.set((location * 5 + period * 11 + 1) % GetParam());
+    return rec;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(InlineAndOffloaded, PtmdCallTest,
+                         ::testing::Values(std::size_t{128},
+                                           std::size_t{1} << 20));
+
+TEST_P(PtmdCallTest, CallsAnswerWhatTheServiceAnswers) {
+  PtmdServer server(base_options("calls"));
+  ASSERT_TRUE(server.start().is_ok());
+  for (std::uint64_t period = 0; period < 4; ++period) {
+    ASSERT_TRUE(server.service().ingest(filled_record(1, period)).is_ok());
+    ASSERT_TRUE(server.service().ingest(filled_record(2, period)).is_ok());
+  }
+  SupervisedConnection conn(server.options().endpoint, fast_tuning());
+  ASSERT_TRUE(conn.ensure_connected(Deadline::after(2s)).is_ok());
+  // Pipelined: every call goes out before any reply is awaited.
+  const std::vector<std::uint64_t> periods{0, 1, 2, 3};
+  ASSERT_TRUE(conn.send(QueryCall{1, PointPersistentQuery{1, periods}}).is_ok());
+  ASSERT_TRUE(conn.send(JoinCall{2, 2, periods, {}}).is_ok());
+  ASSERT_TRUE(conn.send(QueryCall{3, P2PPersistentQuery{1, 2, periods}}).is_ok());
+  std::map<std::uint64_t, QueryReply> early;
+  auto persistent = conn.await_reply<QueryReply>(1, Deadline::after(5s), &early);
+  auto join = conn.await_reply<JoinReply>(2, Deadline::after(5s));
+  auto p2p = conn.await_reply<QueryReply>(3, Deadline::after(5s), &early);
+  ASSERT_TRUE(persistent.has_value()) << persistent.status().to_string();
+  ASSERT_TRUE(join.has_value()) << join.status().to_string();
+  ASSERT_TRUE(p2p.has_value()) << p2p.status().to_string();
+
+  const QueryResponse want_persistent =
+      server.service().run(PointPersistentQuery{1, periods});
+  ASSERT_TRUE(persistent->response.ok());
+  EXPECT_EQ(persistent->response.summary.value, want_persistent.summary.value);
+  EXPECT_EQ(persistent->response.coverage.present,
+            want_persistent.coverage.present);
+  const LocationJoin want_join = server.service().join_location(2, periods);
+  EXPECT_EQ(join->join.present, want_join.present);
+  EXPECT_EQ(join->join.join, want_join.join);
+  const QueryResponse want_p2p =
+      server.service().run(P2PPersistentQuery{1, 2, periods});
+  ASSERT_TRUE(p2p->response.ok());
+  EXPECT_EQ(p2p->response.summary.value, want_p2p.summary.value);
+
+  const std::uint64_t offloaded =
+      server.telemetry().counter("transport_calls_offloaded_total").value();
+  EXPECT_EQ(offloaded, GetParam() == 128 ? 0u : 3u);
+  server.stop();
+}
+
+TEST_F(PtmdServerTest, OversizeQueryAndJoinCallsGetErrorReplies) {
+  // A call's reply grows with what the caller names; none of these may
+  // take the daemon down (framing an oversize reply aborts).
+  PtmdServer server(base_options("oversize"));
+  ASSERT_TRUE(server.start().is_ok());
+  ASSERT_TRUE(server.service().ingest(make_record(1, 0)).is_ok());
+  ASSERT_TRUE(server.service().ingest(make_record(1, 1)).is_ok());
+  TrafficRecord huge;
+  huge.location = 2;
+  huge.period = 0;
+  huge.bits = Bitmap(std::size_t{1} << 27);  // 16 MiB: its join cannot fit
+  huge.bits.set(3);
+  ASSERT_TRUE(server.service().ingest(huge).is_ok());
+
+  SupervisedConnection conn(server.options().endpoint, fast_tuning());
+  ASSERT_TRUE(conn.ensure_connected(Deadline::after(2s)).is_ok());
+  const auto query = [&](std::uint64_t id, QueryRequest request) {
+    EXPECT_TRUE(conn.send(QueryCall{id, std::move(request)}).is_ok());
+    auto reply = conn.await_reply<QueryReply>(id, Deadline::after(10s));
+    EXPECT_TRUE(reply.has_value()) << reply.status().to_string();
+    return reply ? reply->response.status.code() : ErrorCode::kInternal;
+  };
+  const auto join = [&](std::uint64_t id, std::uint64_t location,
+                        std::vector<std::uint64_t> periods) {
+    EXPECT_TRUE(
+        conn.send(JoinCall{id, location, std::move(periods), {}}).is_ok());
+    auto reply = conn.await_reply<JoinReply>(id, Deadline::after(10s));
+    EXPECT_TRUE(reply.has_value()) << reply.status().to_string();
+    return reply ? reply->join.status.code() : ErrorCode::kInternal;
+  };
+
+  // ~1.1M periods fit in a 9 MiB call; the coverage would not fit a reply.
+  std::vector<std::uint64_t> many(1'100'000);
+  for (std::size_t i = 0; i < many.size(); ++i) many[i] = i;
+  EXPECT_EQ(query(1, PointPersistentQuery{1, many,
+                                          MissingPolicy::kSkipMissing}),
+            ErrorCode::kInvalidArgument);
+  // A gap-aware window would list every period number it spans.
+  EXPECT_EQ(query(2, RecentPersistentQuery{1, std::size_t{1} << 40,
+                                           MissingPolicy::kSkipMissing}),
+            ErrorCode::kInvalidArgument);
+  // Duplicates of one stored period: present would repeat each of them.
+  EXPECT_EQ(join(3, 1, std::vector<std::uint64_t>(1'500'000, 0)),
+            ErrorCode::kInvalidArgument);
+  // Within the period bound, a 16 MiB record's join still cannot fit.
+  EXPECT_EQ(join(4, 2, {0}), ErrorCode::kResourceExhausted);
+
+  // The daemon is up and the same link still answers.
+  EXPECT_TRUE(conn.ping().has_value());
+  EXPECT_EQ(query(5, PointPersistentQuery{1, {0, 1}}), ErrorCode::kOk);
+  EXPECT_EQ(join(6, 1, {0, 1, 0}), ErrorCode::kOk);
   server.stop();
 }
 

@@ -1,18 +1,23 @@
 // Tests for transport/wire.hpp and transport/framing.hpp: every transport
-// message round-trips through the envelope codec, malformed envelopes are
-// rejected, and the stream decoder reassembles frames across arbitrary
-// chunking while refusing un-resyncable streams.
+// message round-trips through the envelope codec (query and join replies
+// bit-exactly), malformed envelopes are rejected, and the stream decoder
+// reassembles frames across arbitrary chunking while refusing
+// un-resyncable streams.
 #include "transport/framing.hpp"
 #include "transport/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/traffic_record.hpp"
 #include "net/mac.hpp"
 #include "net/message.hpp"
+#include "query/query_service.hpp"
+#include "query/query_types.hpp"
 
 namespace ptm::transport {
 namespace {
@@ -114,28 +119,6 @@ TEST(TransportWireTest, ReplicationMessagesRoundTrip) {
   EXPECT_EQ(std::get<ReplSnapshotEnd>(*end), (ReplSnapshotEnd{99}));
 }
 
-TEST(TransportWireTest, RecordsMessagesRoundTrip) {
-  RecordsRequest req;
-  req.location = 7;
-  req.periods = {1, 2, 3};
-  const auto decoded_req = decode_wire_message(encode_wire_message(req));
-  ASSERT_TRUE(decoded_req.has_value());
-  EXPECT_EQ(std::get<RecordsRequest>(*decoded_req), req);
-
-  // Empty periods = "all stored periods" - must survive the codec.
-  req.periods.clear();
-  const auto all = decode_wire_message(encode_wire_message(req));
-  ASSERT_TRUE(all.has_value());
-  EXPECT_TRUE(std::get<RecordsRequest>(*all).periods.empty());
-
-  RecordsResponse resp;
-  resp.location = 7;
-  resp.records = {make_record(7, 1).serialize(), make_record(7, 2).serialize()};
-  const auto decoded_resp = decode_wire_message(encode_wire_message(resp));
-  ASSERT_TRUE(decoded_resp.has_value());
-  EXPECT_EQ(std::get<RecordsResponse>(*decoded_resp), resp);
-}
-
 TEST(TransportWireTest, ReplRecordRejectsZeroSeqAndEmptyRecord) {
   ReplRecord zero_seq;
   zero_seq.seq = 0;
@@ -148,35 +131,240 @@ TEST(TransportWireTest, ReplRecordRejectsZeroSeqAndEmptyRecord) {
   EXPECT_FALSE(decode_wire_message(encode_wire_message(empty)).has_value());
 }
 
-TEST(TransportWireTest, RecordsRequestRejectsOversizeCount) {
-  // A count claiming more periods than the payload could possibly hold
-  // must fail cleanly instead of reserving gigabytes.
-  RecordsRequest req;
-  req.location = 1;
-  req.periods = {1};
-  auto bytes = encode_wire_message(req);
-  // kind(1) + location(8) + count(4): patch count to a huge value.
-  bytes[9] = 0xFF;
-  bytes[10] = 0xFF;
-  bytes[11] = 0xFF;
-  bytes[12] = 0x7F;
-  EXPECT_FALSE(decode_wire_message(bytes).has_value());
+/// A store with two locations x four periods, so every query shape has an
+/// answer (and a gap at location 2, period 3, for NotFound coverage).
+QueryService& sample_service() {
+  static QueryService service;
+  static const bool loaded = [] {
+    for (std::uint64_t location : {1, 2}) {
+      for (std::uint64_t period = 0; period < 4; ++period) {
+        if (location == 2 && period == 3) continue;
+        TrafficRecord rec;
+        rec.location = location;
+        rec.period = period;
+        rec.bits = Bitmap(period % 2 == 0 ? 256 : 512);
+        for (std::uint64_t i = 0; i < 90; ++i) {
+          rec.bits.set((i * 7 + location * 13 + period * 29) %
+                       rec.bits.size());
+        }
+        EXPECT_TRUE(service.ingest(rec).is_ok());
+      }
+    }
+    return true;
+  }();
+  (void)loaded;
+  return service;
 }
 
-TEST(TransportWireTest, RecordsResponseRejectsOversizeCountAndEmptyBlob) {
-  RecordsResponse resp;
-  resp.location = 1;
-  resp.records = {make_record(1, 1).serialize()};
-  auto bytes = encode_wire_message(resp);
-  bytes[9] = 0xFF;
-  bytes[10] = 0xFF;
-  bytes[11] = 0xFF;
-  bytes[12] = 0x7F;
-  EXPECT_FALSE(decode_wire_message(bytes).has_value());
+/// Location 1's join over periods 0 and 1.
+LocationJoin sample_join() {
+  return sample_service().join_location(1, std::vector<std::uint64_t>{0, 1});
+}
 
-  // A zero-length record blob is structurally meaningless.
-  resp.records = {{}};
-  EXPECT_FALSE(decode_wire_message(encode_wire_message(resp)).has_value());
+std::vector<QueryRequest> sample_requests() {
+  return {
+      PointVolumeQuery{1, 2},
+      PointPersistentQuery{1, {0, 1, 2, 3}},
+      RecentPersistentQuery{2, 3, MissingPolicy::kSkipMissing},
+      P2PPersistentQuery{1, 2, {0, 1, 2}},
+      CorridorQuery{{1, 2}, {0, 1, 2, 3}, MissingPolicy::kSkipMissing},
+      PointPersistentQuery{2, {0, 3}},   // NotFound, with coverage
+      P2PPersistentQuery{1, 2, {3}},     // NotFound, no coverage
+      RecentPersistentQuery{1, 0},       // InvalidArgument
+  };
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(TransportWireTest, QueryCallRoundTripsEveryShape) {
+  for (const QueryRequest& original : sample_requests()) {
+    const auto decoded = decode_wire_message(
+        encode_wire_message(QueryCall{0x1234'5678'9ABCULL, original}));
+    ASSERT_TRUE(decoded.has_value()) << query_kind_name(original);
+    const auto& call = std::get<QueryCall>(*decoded);
+    EXPECT_EQ(call.correlation_id, 0x1234'5678'9ABCULL);
+    EXPECT_EQ(call.request.index(), original.index());
+    EXPECT_TRUE(call.deadline.unbounded());
+    EXPECT_TRUE(query_deadline(call.request).unbounded());
+    // Unbounded requests carry no clock reading, so the re-encoding of the
+    // decoded call is byte-identical to the original's.
+    EXPECT_EQ(encode_wire_message(call),
+              encode_wire_message(QueryCall{0x1234'5678'9ABCULL, original}))
+        << query_kind_name(original);
+  }
+}
+
+TEST(TransportWireTest, QueryCallDeadlineTravelsAsRemainingBudget) {
+  const auto decoded = decode_wire_message(encode_wire_message(QueryCall{
+      1, PointVolumeQuery{1, 2}, Deadline::after(std::chrono::seconds(30))}));
+  ASSERT_TRUE(decoded.has_value());
+  const QueryCall& call = std::get<QueryCall>(*decoded);
+  ASSERT_FALSE(call.deadline.unbounded());
+  EXPECT_GT(call.deadline.remaining(), std::chrono::seconds(29));
+  EXPECT_LE(call.deadline.remaining(), std::chrono::seconds(30));
+  // The budget becomes the decoded request's own deadline.
+  EXPECT_EQ(query_deadline(call.request).time_point(),
+            call.deadline.time_point());
+
+  // An expired deadline arrives expired, so the node refuses the work.
+  const auto expired = decode_wire_message(encode_wire_message(
+      QueryCall{2, PointVolumeQuery{1, 2}, Deadline::expired()}));
+  ASSERT_TRUE(expired.has_value());
+  EXPECT_TRUE(
+      query_deadline(std::get<QueryCall>(*expired).request).expired_now());
+}
+
+TEST(TransportWireTest, QueryReplyRoundTripsBitExactly) {
+  for (const QueryRequest& request : sample_requests()) {
+    QueryReply reply{77, sample_service().run(request)};
+    reply.response.latency_ns = 123456789;
+    const auto bytes = encode_wire_message(reply);
+    const auto decoded = decode_wire_message(bytes);
+    ASSERT_TRUE(decoded.has_value()) << query_kind_name(request);
+    const auto& got = std::get<QueryReply>(*decoded);
+    const QueryResponse& want = reply.response;
+    EXPECT_EQ(got.correlation_id, 77u);
+    EXPECT_EQ(got.response.status.code(), want.status.code());
+    EXPECT_EQ(got.response.status.message(), want.status.message());
+    EXPECT_EQ(got.response.result.index(), want.result.index());
+    // The summary is rebuilt from the typed result: every double matches
+    // bit for bit, not merely within rounding.
+    EXPECT_EQ(got.response.summary.kind, want.summary.kind);
+    EXPECT_EQ(bits_of(got.response.summary.value), bits_of(want.summary.value));
+    EXPECT_EQ(bits_of(got.response.summary.fill), bits_of(want.summary.fill));
+    EXPECT_EQ(got.response.summary.m, want.summary.m);
+    EXPECT_EQ(got.response.summary.outcome, want.summary.outcome);
+    ASSERT_EQ(got.response.summary.relative_stderr.has_value(),
+              want.summary.relative_stderr.has_value());
+    if (want.summary.relative_stderr) {
+      EXPECT_EQ(bits_of(*got.response.summary.relative_stderr),
+                bits_of(*want.summary.relative_stderr));
+    }
+    EXPECT_EQ(got.response.coverage.requested, want.coverage.requested);
+    EXPECT_EQ(got.response.coverage.present, want.coverage.present);
+    EXPECT_EQ(got.response.coverage.missing, want.coverage.missing);
+    EXPECT_EQ(got.response.latency_ns, 123456789u);
+    // Every encoded field - the typed result's intermediates included -
+    // survives: the decoded reply re-encodes to the same bytes.
+    EXPECT_EQ(encode_wire_message(got), bytes) << query_kind_name(request);
+  }
+}
+
+TEST(TransportWireTest, JoinMessagesRoundTrip) {
+  JoinCall call;
+  call.correlation_id = 9;
+  call.location = 2;
+  call.periods = {0, 1, 2, 3};
+  const auto decoded_call = decode_wire_message(encode_wire_message(call));
+  ASSERT_TRUE(decoded_call.has_value());
+  const auto& got_call = std::get<JoinCall>(*decoded_call);
+  EXPECT_EQ(got_call.correlation_id, 9u);
+  EXPECT_EQ(got_call.location, 2u);
+  EXPECT_EQ(got_call.periods, call.periods);
+  EXPECT_TRUE(got_call.deadline.unbounded());
+
+  // A join with a gap, one with nothing stored, and one that failed.
+  std::vector<LocationJoin> joins{
+      sample_service().join_location(2, call.periods),
+      sample_service().join_location(99, call.periods),
+      sample_service().join_location(1, call.periods, Deadline::expired())};
+  EXPECT_EQ(joins[0].present, (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_TRUE(joins[1].join.empty());
+  EXPECT_EQ(joins[2].status.code(), ErrorCode::kDeadlineExceeded);
+  for (const LocationJoin& join : joins) {
+    const auto bytes = encode_wire_message(JoinReply{5, join});
+    const auto decoded = decode_wire_message(bytes);
+    ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+    const auto& got = std::get<JoinReply>(*decoded);
+    EXPECT_EQ(got.correlation_id, 5u);
+    EXPECT_EQ(got.join.status.code(), join.status.code());
+    EXPECT_EQ(got.join.present, join.present);
+    EXPECT_EQ(got.join.join, join.join);
+    EXPECT_EQ(encode_wire_message(got), bytes);
+  }
+}
+
+TEST(TransportWireTest, QueryAndJoinKindsRejectOversizeCounts) {
+  // A count claiming more periods than the payload could possibly hold
+  // must fail cleanly instead of reserving gigabytes.
+  const auto patch_count = [](std::vector<std::uint8_t> bytes,
+                              std::size_t at) {
+    bytes[at] = 0xFF;
+    bytes[at + 1] = 0xFF;
+    bytes[at + 2] = 0xFF;
+    bytes[at + 3] = 0x7F;
+    return bytes;
+  };
+  // kind(1) id(8) budget(8) shape(1) location(8), then the period count.
+  const auto call = encode_wire_message(
+      QueryCall{1, PointPersistentQuery{1, {1, 2}}});
+  EXPECT_FALSE(decode_wire_message(patch_count(call, 26)).has_value());
+  // kind(1) id(8) budget(8) location(8), then the period count.
+  const auto join = encode_wire_message(JoinCall{1, 1, {1, 2}, {}});
+  EXPECT_FALSE(decode_wire_message(patch_count(join, 25)).has_value());
+  // kind(1) id(8) status(1 + 4 + 0), then the present count.
+  const auto reply = encode_wire_message(
+      JoinReply{1, sample_join()});
+  EXPECT_FALSE(decode_wire_message(patch_count(reply, 14)).has_value());
+}
+
+TEST(TransportWireTest, QueryAndJoinKindsRejectInconsistentReplies) {
+  // Ok without an estimate, and an error carrying one, break the
+  // QueryResponse contract; no node produces them.
+  QueryResponse ok_without_result;
+  EXPECT_FALSE(decode_wire_message(
+                   encode_wire_message(QueryReply{1, ok_without_result}))
+                   .has_value());
+  QueryResponse failed_with_result =
+      sample_service().run(PointVolumeQuery{1, 2});
+  ASSERT_TRUE(failed_with_result.ok());
+  failed_with_result.status = Status{ErrorCode::kInternal, "x"};
+  EXPECT_FALSE(decode_wire_message(
+                   encode_wire_message(QueryReply{1, failed_with_result}))
+                   .has_value());
+
+  // A join must exist exactly when the status is ok and a period is
+  // present.
+  LocationJoin missing_join = sample_join();
+  missing_join.join = Bitmap();
+  EXPECT_FALSE(decode_wire_message(
+                   encode_wire_message(JoinReply{1, missing_join}))
+                   .has_value());
+  LocationJoin stray_join;
+  stray_join.join = Bitmap(64);
+  EXPECT_FALSE(
+      decode_wire_message(encode_wire_message(JoinReply{1, stray_join}))
+          .has_value());
+
+  // Out-of-range enums: shape tag, missing policy, result tag.
+  auto call = encode_wire_message(QueryCall{1, PointVolumeQuery{1, 2}});
+  call[17] = 9;  // kind(1) id(8) budget(8), then the shape tag
+  EXPECT_FALSE(decode_wire_message(call).has_value());
+  auto skip = encode_wire_message(
+      QueryCall{1, RecentPersistentQuery{1, 3, MissingPolicy::kSkipMissing}});
+  skip.back() = 2;  // the missing policy is the last byte
+  EXPECT_FALSE(decode_wire_message(skip).has_value());
+  auto result = encode_wire_message(
+      QueryReply{1, sample_service().run(PointVolumeQuery{1, 2})});
+  result[14] = 9;  // kind(1) id(8) status(1 + 4), then the result tag
+  EXPECT_FALSE(decode_wire_message(result).has_value());
+}
+
+TEST(TransportWireTest, RetiredRecordsKindsDecodeAsUnknown) {
+  // Kinds 17 and 18 carried the raw-record fetch the query push-down
+  // replaced; their numbers stay retired, so an old peer's request is an
+  // unknown kind rather than a different message.
+  for (std::uint8_t kind : {17, 18}) {
+    const std::vector<std::uint8_t> bytes{kind, 1, 0, 0, 0, 0, 0, 0, 0,
+                                          0,    0, 0, 0};
+    const auto decoded = decode_wire_message(bytes);
+    ASSERT_FALSE(decoded.has_value());
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kParseError);
+  }
 }
 
 TEST(TransportWireTest, ReplicationTruncationSweep) {
@@ -185,8 +373,12 @@ TEST(TransportWireTest, ReplicationTruncationSweep) {
   rec.record = make_record(9, 4).serialize();
   for (const auto& msg : std::vector<WireMessage>{
            ReplSubscribe{1}, rec, ReplAck{3}, ReplSnapshotBegin{10},
-           ReplSnapshotEnd{10}, RecordsRequest{4, {1, 2}},
-           RecordsResponse{4, {make_record(4, 1).serialize()}}}) {
+           ReplSnapshotEnd{10},
+           QueryCall{4, CorridorQuery{{1, 2}, {1, 2}}},
+           QueryReply{4,
+                      sample_service().run(P2PPersistentQuery{1, 2, {0, 1}})},
+           JoinCall{4, 1, {1, 2}, {}},
+           JoinReply{4, sample_join()}}) {
     const auto good = encode_wire_message(msg);
     for (std::size_t len = 1; len < good.size(); ++len) {
       std::vector<std::uint8_t> cut(good.begin(),
@@ -222,11 +414,11 @@ TEST(TransportWireTest, KindNames) {
   EXPECT_EQ(wire_kind(WireMessage{StatsRequest{}}), WireKind::kStatsRequest);
   EXPECT_STREQ(wire_kind_name(WireKind::kUploadNack), "upload-nack");
   EXPECT_EQ(wire_kind(WireMessage{ReplSubscribe{}}), WireKind::kReplSubscribe);
-  EXPECT_EQ(wire_kind(WireMessage{RecordsRequest{}}),
-            WireKind::kRecordsRequest);
+  EXPECT_EQ(wire_kind(WireMessage{QueryCall{}}), WireKind::kQueryCall);
+  EXPECT_EQ(wire_kind(WireMessage{JoinReply{}}), WireKind::kJoinReply);
   EXPECT_STREQ(wire_kind_name(WireKind::kReplRecord), "repl-record");
-  EXPECT_STREQ(wire_kind_name(WireKind::kRecordsResponse),
-               "records-response");
+  EXPECT_STREQ(wire_kind_name(WireKind::kQueryReply), "query-reply");
+  EXPECT_STREQ(wire_kind_name(WireKind::kJoinCall), "join-call");
 }
 
 TEST(TransportFramingTest, FramesRoundTripByteAtATime) {
