@@ -29,6 +29,20 @@ Deadline bounded(const Deadline& outer, std::chrono::milliseconds budget) {
 /// before the call fails over to the next replica.
 constexpr auto kAttemptBudget = 1000ms;
 
+/// Whether a session is open before a call uses it.  ptmd's idle sweep
+/// closes a quiet coordinator link, and this end learns so only when it
+/// next sends or receives; a call whose reused session dies that way
+/// redials the same node once before failing over.
+bool reusing(const transport::SupervisedConnection& conn) {
+  return conn.state() == transport::SupervisedConnection::State::kConnected;
+}
+
+/// True when a call that went out on a reused session failed because the
+/// session died (not, say, on a deadline): the stale-link case above.
+bool stale_session(bool reused, const transport::SupervisedConnection& conn) {
+  return reused && !reusing(conn);
+}
+
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(ClusterCoordinatorOptions options)
@@ -60,32 +74,40 @@ Status ClusterCoordinator::ingest(const TrafficRecord& record,
                                   const Deadline& deadline) {
   Status last{ErrorCode::kChannelError, "no replica reachable"};
   for (std::uint64_t node_id : map_.replicas(record.location)) {
-    if (deadline.expired_now()) {
-      return {ErrorCode::kDeadlineExceeded, "cluster ingest deadline"};
-    }
     NodeLink* link = link_for(node_id);
     if (link == nullptr) continue;
-    const Deadline attempt = bounded(deadline, kAttemptBudget);
-    const Status connected = link->conn->ensure_connected(attempt);
-    if (!connected.is_ok()) {
-      last = connected;
-      continue;  // fail over down the replica list
+    for (bool redialed = false;; redialed = true) {
+      if (deadline.expired_now()) {
+        return {ErrorCode::kDeadlineExceeded, "cluster ingest deadline"};
+      }
+      const Deadline attempt = bounded(deadline, kAttemptBudget);
+      const bool reused = reusing(*link->conn);
+      const Status connected = link->conn->ensure_connected(attempt);
+      if (!connected.is_ok()) {
+        last = connected;
+        break;  // fail over down the replica list
+      }
+      transport::UplinkClient uplink(*link->conn, kCoordinatorMac,
+                                     kServerMac);
+      auto reply = uplink.deliver(record, {}, attempt);
+      if (!reply) {
+        // Unknown outcome here; ingest is idempotent, so the same node
+        // (once, for a stale link) or another replica can still take it.
+        last = reply.status();
+        if (!redialed && stale_session(reused, *link->conn)) continue;
+        break;
+      }
+      if (reply->acked) return {};
+      if (!reply->nack.retryable) {
+        // A fatal verdict (conflicting record) is about the *record*, not
+        // the node - no replica will decide differently.
+        return {reply->nack.code, "cluster ingest rejected by node " +
+                                      std::to_string(node_id)};
+      }
+      last = Status{reply->nack.code,
+                    "node " + std::to_string(node_id) + " shed the ingest"};
+      break;
     }
-    transport::UplinkClient uplink(*link->conn, kCoordinatorMac, kServerMac);
-    auto reply = uplink.deliver(record, {}, attempt);
-    if (!reply) {
-      last = reply.status();
-      continue;  // unknown outcome here; a replica can still take it
-    }
-    if (reply->acked) return {};
-    if (!reply->nack.retryable) {
-      // A fatal verdict (conflicting record) is about the *record*, not
-      // the node - no replica will decide differently.
-      return {reply->nack.code, "cluster ingest rejected by node " +
-                                    std::to_string(node_id)};
-    }
-    last = Status{reply->nack.code,
-                  "node " + std::to_string(node_id) + " shed the ingest"};
   }
   return last;
 }
@@ -99,6 +121,14 @@ std::vector<std::optional<Reply>> ClusterCoordinator::call_owners(
     NodeLink* link = nullptr;  ///< where the call in flight went
     std::uint64_t id = 0;
     Deadline attempt;
+    bool reused = false;    ///< the last attempt went out on an open session
+    bool redialed = false;  ///< replica `tried - 1` already had its redial
+  };
+  // After a failed attempt on `link`: a stale session earns that replica
+  // one more attempt on a fresh one; anything else moves on.
+  const auto after_failure = [](Call& call, const NodeLink& link) {
+    call.redialed = !call.redialed && stale_session(call.reused, *link.conn);
+    if (call.redialed) --call.tried;
   };
   std::vector<std::optional<Reply>> replies(locations.size());
   std::vector<Call> calls(locations.size());
@@ -115,9 +145,14 @@ std::vector<std::optional<Reply>> ClusterCoordinator::call_owners(
         NodeLink* link = link_for(replicas[call.tried++]);
         if (link == nullptr) continue;
         const Deadline attempt = bounded(deadline, kAttemptBudget);
-        if (!link->conn->ensure_connected(attempt).is_ok()) continue;
+        call.reused = reusing(*link->conn);
+        if (!link->conn->ensure_connected(attempt).is_ok()) {
+          after_failure(call, *link);
+          continue;
+        }
         const std::uint64_t id = ++next_call_id_;
         if (!link->conn->send(make_call(locations[i], id, attempt)).is_ok()) {
+          after_failure(call, *link);
           continue;
         }
         call.link = link;
@@ -133,8 +168,12 @@ std::vector<std::optional<Reply>> ClusterCoordinator::call_owners(
       if (call.link == nullptr) continue;
       auto reply = call.link->conn->template await_reply<Reply>(
           call.id, call.attempt, &early);
+      if (reply) {
+        replies[i] = std::move(*reply);
+      } else {
+        after_failure(call, *call.link);
+      }
       call.link = nullptr;
-      if (reply) replies[i] = std::move(*reply);
     }
   }
 }
@@ -214,18 +253,25 @@ std::vector<NodeStatus> ClusterCoordinator::cluster_status(
     status.client_endpoint = link.spec.client.to_string();
     status.repl_endpoint = link.spec.repl.to_string();
     status.vnodes = map_.vnode_count(link.node_id);
-    const Deadline attempt = bounded(deadline, kAttemptBudget);
-    if (link.conn->ensure_connected(attempt).is_ok() &&
-        link.conn->send(transport::StatsRequest{}).is_ok()) {
-      for (;;) {
-        auto message = link.conn->receive(attempt);
-        if (!message) break;
-        if (const auto* stats =
-                std::get_if<transport::StatsResponse>(&*message)) {
-          status.reachable = true;
-          status.stats_json = stats->json;
-          break;
+    for (bool redialed = false;; redialed = true) {
+      const Deadline attempt = bounded(deadline, kAttemptBudget);
+      const bool reused = reusing(*link.conn);
+      if (link.conn->ensure_connected(attempt).is_ok() &&
+          link.conn->send(transport::StatsRequest{}).is_ok()) {
+        for (;;) {
+          auto message = link.conn->receive(attempt);
+          if (!message) break;
+          if (const auto* stats =
+                  std::get_if<transport::StatsResponse>(&*message)) {
+            status.reachable = true;
+            status.stats_json = stats->json;
+            break;
+          }
         }
+      }
+      if (status.reachable || redialed ||
+          !stale_session(reused, *link.conn)) {
+        break;
       }
     }
     statuses.push_back(std::move(status));

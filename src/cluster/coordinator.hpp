@@ -84,8 +84,9 @@ class ClusterCoordinator {
   ClusterCoordinator& operator=(const ClusterCoordinator&) = delete;
 
   /// Delivers `record` to its owner, failing over down the replica list
-  /// on channel errors.  Ok = some replica acked (durably ingested or
-  /// deduped); a *fatal* nack surfaces as that node's verdict without
+  /// on channel errors (after one redial of a link that went stale while
+  /// idle).  Ok = some replica acked (durably ingested or deduped); a
+  /// *fatal* nack surfaces as that node's verdict without
   /// failover (retrying elsewhere cannot fix a conflicting record);
   /// kUnavailable when no replica could be reached before `deadline`.
   [[nodiscard]] Status ingest(const TrafficRecord& record,
@@ -99,8 +100,9 @@ class ClusterCoordinator {
   /// kMaxQueryPeriods periods fails with InvalidArgument before any call.
   [[nodiscard]] QueryResponse run(const QueryRequest& request);
 
-  /// Polls every node for its telemetry snapshot; unreachable nodes come
-  /// back with reachable=false rather than an error.
+  /// Polls every node for its telemetry snapshot (redialing a link that
+  /// went stale while idle once); unreachable nodes come back with
+  /// reachable=false rather than an error.
   [[nodiscard]] std::vector<NodeStatus> cluster_status(
       const Deadline& deadline);
 
@@ -129,8 +131,10 @@ class ClusterCoordinator {
   /// Sends one call per location - `make_call(location, id, attempt)` -
   /// to its first reachable replica (owner first), every call before any
   /// reply is awaited; a call that fails moves to the location's next
-  /// replica.  Replies align with `locations`; nullopt where every replica
-  /// failed before `deadline`.
+  /// replica, except that a session which was open before the call and
+  /// died under it (a node's idle sweep closed it) is redialed once first.
+  /// Replies align with `locations`; nullopt where every replica failed
+  /// before `deadline`.
   template <typename Reply, typename MakeCall>
   [[nodiscard]] std::vector<std::optional<Reply>> call_owners(
       std::span<const std::uint64_t> locations, const Deadline& deadline,

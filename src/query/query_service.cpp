@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <iterator>
 #include <mutex>
 #include <type_traits>
 
@@ -236,37 +237,41 @@ bool QueryService::durable() const {
 }
 
 Result<std::size_t> QueryService::restore_from_archive() {
-  // Batched replay: the archive mutex is held per batch, not for the
-  // whole sweep, so a restore racing live ingest (a follower replaying
-  // its replica while its subscriptions already stream) never stalls the
-  // write path for the archive's full O(n) copy.  Iteration is
-  // (location, period)-ordered within each batch, so the volume history
+  // Two phases.  First every live record is read back, in batches: the
+  // archive mutex is held per batch, not for the whole sweep, so a restore
+  // racing live ingest (a follower replaying its replica while its
+  // subscriptions already stream) never stalls the write path for the
+  // archive's full O(n) read.  A record that fails to read back fails the
+  // restore before anything is inserted - never a partial store.  Then
+  // the records go in, (location, period)-ordered, so the volume history
   // mean rebuilds deterministically regardless of original arrival order.
   constexpr std::size_t kRestoreBatch = 512;
   RecordArchive::SnapshotCursor cursor;
-  std::size_t restored = 0;
+  std::vector<TrafficRecord> records;
   for (;;) {
-    std::vector<TrafficRecord> records;
-    {
-      std::lock_guard lock(archive_mutex_);
-      if (archive_ == nullptr) {
-        return Status{ErrorCode::kFailedPrecondition,
-                      "restore requires an attached archive"};
-      }
-      records = archive_->live_batch(cursor, kRestoreBatch);
+    std::unique_lock lock(archive_mutex_);
+    if (archive_ == nullptr) {
+      return Status{ErrorCode::kFailedPrecondition,
+                    "restore requires an attached archive"};
     }
-    if (records.empty()) return restored;
-    for (TrafficRecord& rec : records) {
-      Shard& shard = shard_for(rec.location);
-      const CardinalityEstimate est = estimate_cardinality(rec.bits);
-      const auto key = std::make_pair(rec.location, rec.period);
-      std::unique_lock lock(shard.mutex);
-      if (shard.records.contains(key)) continue;  // already live in memory
-      shard.history[rec.location].add(est.value);
-      shard.records.emplace(key, std::move(rec));
-      ++restored;
-    }
+    auto batch = archive_->live_batch(cursor, kRestoreBatch);
+    lock.unlock();
+    if (!batch) return batch.status();
+    if (batch->empty()) break;
+    std::move(batch->begin(), batch->end(), std::back_inserter(records));
   }
+  std::size_t restored = 0;
+  for (TrafficRecord& rec : records) {
+    Shard& shard = shard_for(rec.location);
+    const CardinalityEstimate est = estimate_cardinality(rec.bits);
+    const auto key = std::make_pair(rec.location, rec.period);
+    std::unique_lock lock(shard.mutex);
+    if (shard.records.contains(key)) continue;  // already live in memory
+    shard.history[rec.location].add(est.value);
+    shard.records.emplace(key, std::move(rec));
+    ++restored;
+  }
+  return restored;
 }
 
 void QueryService::wipe_volatile_state() {

@@ -139,7 +139,9 @@ class QueryService {
   /// archive record missing from memory is inserted and folded into the
   /// Eq. 2 volume history (in (location, period) order, without
   /// re-appending or counting as new ingest).  Returns the number of
-  /// records restored.  FailedPrecondition without an attached archive.
+  /// records restored.  FailedPrecondition without an attached archive;
+  /// a record that no longer reads back intact fails the restore with
+  /// nothing inserted.
   [[nodiscard]] Result<std::size_t> restore_from_archive();
 
   /// Crash simulation: drops every record, history entry, counter, and the

@@ -1,6 +1,7 @@
 #include "store/archive.hpp"
 
 #include <cstdio>
+#include <iterator>
 
 #include "store/record_log.hpp"
 
@@ -8,23 +9,22 @@ namespace ptm {
 
 Result<RecordArchive> RecordArchive::open(std::string path,
                                           ArchiveOptions options) {
-  RecordArchive archive(std::move(path), options);
   // Ensure the log exists with a valid header (also validates magic).
-  auto writer = RecordLogWriter::open(archive.path_);
-  if (!writer) return writer.status();
-  auto contents = read_record_log(archive.path_);
-  if (!contents) return contents.status();
-  for (TrafficRecord& rec : contents->records) {
-    auto& at_location = archive.index_[rec.location];
-    if (!at_location.emplace(rec.period, std::move(rec.bits)).second) {
-      ++archive.dead_in_log_;  // duplicate on disk: keep the first
-    }
-  }
+  auto log = open_record_log(path);
+  if (!log) return log.status();
+  RecordArchive archive(options, std::move(*log));
+  auto tail = scan_record_log(
+      path, [&archive](const FrameExtent& extent, TrafficRecord&& rec) {
+        if (!archive.index_[rec.location].emplace(rec.period, extent).second) {
+          ++archive.dead_in_log_;  // duplicate on disk: keep the first
+        }
+      });
+  if (!tail) return tail.status();
   for (auto& [location, periods] : archive.index_) {
     (void)periods;
     archive.apply_retention(location);
   }
-  if (contents->truncated_tail) {
+  if (tail->truncated_tail) {
     // Heal immediately: appending after torn bytes would strand the new
     // records beyond the reader's stop point.
     if (auto compacted = archive.compact(); !compacted) {
@@ -45,11 +45,14 @@ void RecordArchive::apply_retention(std::uint64_t location) {
 
 Status RecordArchive::append(const TrafficRecord& record) {
   if (Status s = record.validate(); !s.is_ok()) return s;
+  const std::vector<std::uint8_t> payload = record.serialize();
   auto at_location = index_.find(record.location);
   if (at_location != index_.end()) {
     const auto at_period = at_location->second.find(record.period);
     if (at_period != at_location->second.end()) {
-      if (at_period->second == record.bits) {
+      auto stored = log_.read(at_period->second);
+      if (!stored) return stored.status();
+      if (*stored == payload) {
         // Byte-identical replay of a record already durable: succeed
         // without writing a redundant frame.
         return Status::ok();
@@ -58,10 +61,9 @@ Status RecordArchive::append(const TrafficRecord& record) {
               "conflicting record for this location and period"};
     }
   }
-  auto writer = RecordLogWriter::open(path_);
-  if (!writer) return writer.status();
-  if (Status s = writer->append(record); !s.is_ok()) return s;
-  index_[record.location].emplace(record.period, record.bits);
+  auto extent = log_.append(payload);
+  if (!extent) return extent.status();
+  index_[record.location].emplace(record.period, *extent);
   apply_retention(record.location);
   return Status::ok();
 }
@@ -86,10 +88,10 @@ std::vector<std::uint64_t> RecordArchive::locations() const {
   return out;
 }
 
-std::vector<TrafficRecord> RecordArchive::live_batch(
+Result<std::vector<TrafficRecord>> RecordArchive::live_batch(
     SnapshotCursor& cursor, std::size_t max_records) const {
   std::vector<TrafficRecord> out;
-  if (max_records == 0) return out;
+  SnapshotCursor next = cursor;
   auto at_location = cursor.started ? index_.lower_bound(cursor.location)
                                     : index_.begin();
   for (; at_location != index_.end() && out.size() < max_records;
@@ -101,71 +103,75 @@ std::vector<TrafficRecord> RecordArchive::live_batch(
             : periods.begin();
     for (; at_period != periods.end() && out.size() < max_records;
          ++at_period) {
-      TrafficRecord rec;
-      rec.location = location;
-      rec.period = at_period->first;
-      rec.bits = at_period->second;
-      out.push_back(std::move(rec));
-      cursor.started = true;
-      cursor.location = location;
-      cursor.period = at_period->first;
+      auto rec = read_record_at(log_, at_period->second);
+      if (!rec) return rec.status();
+      out.push_back(std::move(*rec));
+      next = {true, location, at_period->first};
     }
   }
+  cursor = next;
   return out;
 }
 
-std::vector<TrafficRecord> RecordArchive::live_contents() const {
+Result<std::vector<TrafficRecord>> RecordArchive::live_contents() const {
   SnapshotCursor cursor;
-  std::vector<TrafficRecord> out = live_batch(cursor, live_records());
-  return out;
+  return live_batch(cursor, live_records());
 }
 
 Result<std::vector<Bitmap>> RecordArchive::records_at(
     std::uint64_t location) const {
-  const auto it = index_.find(location);
-  if (it == index_.end() || it->second.empty()) {
-    return Status{ErrorCode::kNotFound, "no live records for location"};
-  }
-  std::vector<Bitmap> out;
-  out.reserve(it->second.size());
-  for (const auto& [period, bits] : it->second) out.push_back(bits);
-  return out;
+  return latest(location, periods_at(location));
 }
 
 Result<std::vector<Bitmap>> RecordArchive::latest(std::uint64_t location,
                                                   std::size_t window) const {
-  auto all = records_at(location);
-  if (!all) return all.status();
-  if (all->size() < window) {
+  const auto it = index_.find(location);
+  if (it == index_.end() || it->second.empty()) {
+    return Status{ErrorCode::kNotFound, "no live records for location"};
+  }
+  const auto& periods = it->second;
+  if (periods.size() < window) {
     return Status{ErrorCode::kNotFound,
                   "fewer live periods than the requested window"};
   }
-  return std::vector<Bitmap>(all->end() - static_cast<std::ptrdiff_t>(window),
-                             all->end());
+  std::vector<Bitmap> out;
+  out.reserve(window);
+  for (auto at = std::prev(periods.end(), static_cast<std::ptrdiff_t>(window));
+       at != periods.end(); ++at) {
+    auto rec = read_record_at(log_, at->second);
+    if (!rec) return rec.status();
+    out.push_back(std::move(rec->bits));
+  }
+  return out;
 }
 
 Result<std::size_t> RecordArchive::compact() {
-  const std::string temp_path = path_ + ".compact";
+  const std::string temp_path = path() + ".compact";
   std::remove(temp_path.c_str());
-  {
-    auto writer = RecordLogWriter::open(temp_path);
-    if (!writer) return writer.status();
-    for (const auto& [location, periods] : index_) {
-      for (const auto& [period, bits] : periods) {
-        TrafficRecord rec;
-        rec.location = location;
-        rec.period = period;
-        rec.bits = bits;
-        if (Status s = writer->append(rec); !s.is_ok()) {
-          std::remove(temp_path.c_str());
-          return s;
-        }
-      }
+  const auto abandon = [&temp_path](Status s) {
+    std::remove(temp_path.c_str());
+    return s;
+  };
+  auto fresh = open_record_log(temp_path);
+  if (!fresh) return abandon(fresh.status());
+  // The live records' extents in the rewritten file, in index order;
+  // installed only once the rename has committed it.
+  std::vector<FrameExtent> moved;
+  moved.reserve(live_records());
+  for (const auto& [location, periods] : index_) {
+    for (const auto& [period, extent] : periods) {
+      auto payload = log_.read(extent);
+      if (!payload) return abandon(payload.status());
+      auto written = fresh->append(*payload);
+      if (!written) return abandon(written.status());
+      moved.push_back(*written);
     }
   }
-  if (std::rename(temp_path.c_str(), path_.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    return Status{ErrorCode::kInternal, "compaction rename failed"};
+  if (Status s = fresh->rename(path()); !s.is_ok()) return abandon(s);
+  log_ = std::move(*fresh);  // the descriptor now appends to path()
+  auto next = moved.begin();
+  for (auto& [location, periods] : index_) {
+    for (auto& [period, extent] : periods) extent = *next++;
   }
   const std::size_t dropped = dead_in_log_;
   dead_in_log_ = 0;

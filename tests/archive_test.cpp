@@ -2,11 +2,16 @@
 #include "store/archive.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 
 #include "common/random.hpp"
+#include "query/query_service.hpp"
 #include "store/record_log.hpp"
 
 namespace ptm {
@@ -32,9 +37,58 @@ class ArchiveTest : public ::testing::Test {
     return rec;
   }
 
+  /// The archive's live contents; a read-back error fails the test.
+  static std::vector<TrafficRecord> contents(const RecordArchive& archive) {
+    auto live = archive.live_contents();
+    EXPECT_TRUE(live.has_value()) << live.status().to_string();
+    return live ? std::move(*live) : std::vector<TrafficRecord>{};
+  }
+
+  /// One live_batch step; a read-back error fails the test.
+  static std::vector<TrafficRecord> batch(
+      const RecordArchive& archive, RecordArchive::SnapshotCursor& cursor,
+      std::size_t max_records) {
+    auto records = archive.live_batch(cursor, max_records);
+    EXPECT_TRUE(records.has_value()) << records.status().to_string();
+    return records ? std::move(*records) : std::vector<TrafficRecord>{};
+  }
+
   std::size_t file_size() const {
     std::ifstream in(path_, std::ios::binary | std::ios::ate);
     return static_cast<std::size_t>(in.tellg());
+  }
+
+  /// Overwrites one byte of the log in place, behind any open archive.
+  void flip_byte(std::size_t offset) const {
+    std::fstream file(path_, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(static_cast<std::streamoff>(offset));
+    const char byte = static_cast<char>(file.get() ^ 0x5a);
+    file.seekp(static_cast<std::streamoff>(offset));
+    file.put(byte);
+  }
+
+  /// Runs in a forked child (a file-size limit binds the whole process):
+  /// append A under a limit that cuts its frame short, lift the limit,
+  /// append B, reopen.  Returns 0 when B survived the reopen, else the
+  /// number of the step that went wrong.
+  int torn_append_then_append() const {
+    std::signal(SIGXFSZ, SIG_IGN);  // a short write, not a dead process
+    auto archive = RecordArchive::open(path_, {});
+    if (!archive) return 1;
+    if (!archive->append(make_record(1, 0)).is_ok()) return 2;
+    rlimit original{};
+    if (::getrlimit(RLIMIT_FSIZE, &original) != 0) return 3;
+    rlimit lowered = original;
+    lowered.rlim_cur = file_size() + 10;  // 10 bytes of A's frame fit
+    if (::setrlimit(RLIMIT_FSIZE, &lowered) != 0) return 4;
+    if (archive->append(make_record(1, 1)).is_ok()) return 5;  // A fails
+    if (::setrlimit(RLIMIT_FSIZE, &original) != 0) return 6;
+    if (!archive->append(make_record(2, 0)).is_ok()) return 7;  // B
+    auto reopened = RecordArchive::open(path_, {});
+    if (!reopened) return 8;
+    if (reopened->periods_at(2) != 1) return 9;  // B lost behind torn A
+    if (reopened->periods_at(1) != 1) return 10;
+    return 0;
   }
 
   std::string path_;
@@ -94,7 +148,7 @@ TEST_F(ArchiveTest, LiveContentsIsOrderedAndComplete) {
   ASSERT_TRUE(archive->append(make_record(5, 0)).is_ok());
   ASSERT_TRUE(archive->append(make_record(5, 1)).is_ok());
 
-  const std::vector<TrafficRecord> live = archive->live_contents();
+  const std::vector<TrafficRecord> live = contents(*archive);
   ASSERT_EQ(live.size(), 3u);
   EXPECT_EQ(live[0].location, 1u);
   EXPECT_EQ(live[0].period, 7u);
@@ -119,12 +173,12 @@ TEST_F(ArchiveTest, LiveBatchWalksWholeArchiveInBoundedSteps) {
   RecordArchive::SnapshotCursor cursor;
   std::vector<TrafficRecord> walked;
   for (;;) {
-    const auto batch = archive->live_batch(cursor, 4);
-    if (batch.empty()) break;
-    EXPECT_LE(batch.size(), 4u);
-    walked.insert(walked.end(), batch.begin(), batch.end());
+    const auto step = batch(*archive, cursor, 4);
+    if (step.empty()) break;
+    EXPECT_LE(step.size(), 4u);
+    walked.insert(walked.end(), step.begin(), step.end());
   }
-  const auto all = archive->live_contents();
+  const auto all = contents(*archive);
   ASSERT_EQ(walked.size(), all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(walked[i].location, all[i].location);
@@ -132,7 +186,7 @@ TEST_F(ArchiveTest, LiveBatchWalksWholeArchiveInBoundedSteps) {
     EXPECT_EQ(walked[i].bits, all[i].bits);
   }
   // A finished cursor stays finished.
-  EXPECT_TRUE(archive->live_batch(cursor, 4).empty());
+  EXPECT_TRUE(batch(*archive, cursor, 4).empty());
 }
 
 TEST_F(ArchiveTest, LiveBatchCursorSurvivesAppendsBetweenBatches) {
@@ -143,7 +197,7 @@ TEST_F(ArchiveTest, LiveBatchCursorSurvivesAppendsBetweenBatches) {
   }
 
   RecordArchive::SnapshotCursor cursor;
-  auto first = archive->live_batch(cursor, 2);
+  auto first = batch(*archive, cursor, 2);
   ASSERT_EQ(first.size(), 2u);
 
   // Appends *ahead of* the cursor are picked up; appends *behind* it are
@@ -153,9 +207,9 @@ TEST_F(ArchiveTest, LiveBatchCursorSurvivesAppendsBetweenBatches) {
 
   std::vector<TrafficRecord> rest;
   for (;;) {
-    const auto batch = archive->live_batch(cursor, 2);
-    if (batch.empty()) break;
-    rest.insert(rest.end(), batch.begin(), batch.end());
+    const auto step = batch(*archive, cursor, 2);
+    if (step.empty()) break;
+    rest.insert(rest.end(), step.begin(), step.end());
   }
   ASSERT_EQ(rest.size(), 3u);  // periods 2, 3, 9 of location 2
   EXPECT_EQ(rest[0].period, 2u);
@@ -322,6 +376,122 @@ TEST_F(ArchiveTest, ToleratesTornTailOnOpen) {
   auto healed = RecordArchive::open(path_, {});
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(healed->live_records(), 2u);
+}
+
+TEST_F(ArchiveTest, FailedAppendIsRolledBackSoLaterAppendsSurvive) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(torn_append_then_append());
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "step " << WEXITSTATUS(status) << " of torn_append_then_append";
+}
+
+TEST_F(ArchiveTest, ReopenedArchiveReadsBackByteIdenticalRecords) {
+  std::vector<TrafficRecord> written;
+  {
+    auto archive = RecordArchive::open(path_, {});
+    ASSERT_TRUE(archive.has_value());
+    for (std::uint64_t loc = 1; loc <= 3; ++loc) {
+      for (std::uint64_t period = 0; period < 4; ++period) {
+        written.push_back(make_record(loc, period, 64u << loc));
+        ASSERT_TRUE(archive->append(written.back()).is_ok());
+      }
+    }
+  }
+  auto reopened = RecordArchive::open(path_, {});
+  ASSERT_TRUE(reopened.has_value());
+  const std::vector<TrafficRecord> live = contents(*reopened);
+  ASSERT_EQ(live.size(), written.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live[i].serialize(), written[i].serialize()) << "record " << i;
+  }
+  const auto at_2 = reopened->records_at(2);
+  ASSERT_TRUE(at_2.has_value()) << at_2.status().to_string();
+  ASSERT_EQ(at_2->size(), 4u);
+  for (std::size_t period = 0; period < 4; ++period) {
+    EXPECT_EQ((*at_2)[period].serialize(),
+              written[4 + period].bits.serialize());
+  }
+}
+
+TEST_F(ArchiveTest, ReappendAfterReopenComparesStoredBytes) {
+  {
+    auto archive = RecordArchive::open(path_, {});
+    ASSERT_TRUE(archive.has_value());
+    ASSERT_TRUE(archive->append(make_record(4, 2)).is_ok());
+    ASSERT_TRUE(archive->append(make_record(4, 3)).is_ok());
+  }
+  const std::size_t size_before = file_size();
+  auto reopened = RecordArchive::open(path_, {});
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_TRUE(reopened->append(make_record(4, 2)).is_ok());
+  EXPECT_EQ(file_size(), size_before);  // no second frame
+  EXPECT_EQ(reopened->live_records(), 2u);
+
+  TrafficRecord conflicting = make_record(4, 3);
+  conflicting.bits.set(200);
+  EXPECT_EQ(reopened->append(conflicting).code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(file_size(), size_before);
+}
+
+TEST_F(ArchiveTest, CorruptedLiveRecordIsAnErrorNotWrongBits) {
+  auto archive = RecordArchive::open(path_, {});
+  ASSERT_TRUE(archive.has_value());
+  ASSERT_TRUE(archive->append(make_record(1, 0)).is_ok());
+  const std::size_t second_frame = file_size();
+  ASSERT_TRUE(archive->append(make_record(2, 0)).is_ok());
+  ASSERT_TRUE(archive->append(make_record(3, 0)).is_ok());
+
+  // Rot one payload byte of location 2's record (past its u32 length
+  // prefix and 16 bytes of location and period) after the index was built.
+  flip_byte(second_frame + 4 + 20);
+
+  EXPECT_TRUE(archive->records_at(1).has_value());
+  EXPECT_EQ(archive->records_at(2).status().code(), ErrorCode::kParseError);
+  EXPECT_EQ(archive->latest(2, 1).status().code(), ErrorCode::kParseError);
+  EXPECT_FALSE(archive->live_contents().has_value());
+
+  // Restore fails outright instead of rebuilding a partial store.
+  QueryService service;
+  service.attach_durability(*archive);
+  EXPECT_EQ(service.restore_from_archive().status().code(),
+            ErrorCode::kParseError);
+  EXPECT_EQ(service.record_count(), 0u);
+}
+
+TEST_F(ArchiveTest, AppendsAfterCompactLandInTheCompactedFile) {
+  ArchiveOptions options;
+  options.max_periods_per_location = 2;
+  auto archive = RecordArchive::open(path_, options);
+  ASSERT_TRUE(archive.has_value());
+  for (std::uint64_t period = 0; period < 6; ++period) {
+    ASSERT_TRUE(archive->append(make_record(1, period)).is_ok());
+  }
+  ASSERT_TRUE(archive->compact().has_value());
+  const std::size_t compacted_size = file_size();
+  ASSERT_TRUE(archive->append(make_record(1, 6)).is_ok());
+  ASSERT_TRUE(archive->append(make_record(9, 0)).is_ok());
+  EXPECT_GT(file_size(), compacted_size);
+
+  // The archive reads its own post-compaction appends back...
+  const auto latest = archive->latest(1, 2);
+  ASSERT_TRUE(latest.has_value()) << latest.status().to_string();
+  EXPECT_EQ((*latest)[1], make_record(1, 6).bits);
+  // ...and the file at its path holds them.
+  const auto on_disk = read_record_log(path_);
+  ASSERT_TRUE(on_disk.has_value());
+  EXPECT_FALSE(on_disk->truncated_tail);
+  ASSERT_EQ(on_disk->records.size(), 4u);  // periods 4, 5, then 6 and 9/0
+  EXPECT_EQ(on_disk->records[2], make_record(1, 6));
+  EXPECT_EQ(on_disk->records[3], make_record(9, 0));
+  auto reopened = RecordArchive::open(path_, options);
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_EQ(reopened->periods_at(1), 2u);
+  EXPECT_EQ(reopened->periods_at(9), 1u);
 }
 
 }  // namespace

@@ -150,6 +150,18 @@ void terminate_and_reap(NodeProcess& proc) {
   proc.close_pipe();
 }
 
+/// Runs `fn` however the scope ends: a failed ASSERT_* returns from the
+/// test body early, and the daemons it spawned (and the killer thread that
+/// restarts them) must not outlive it.  terminate_and_reap and a join of
+/// an already-joined thread are no-ops, so the normal path is unchanged.
+template <typename Fn>
+struct OnExit {
+  Fn fn;
+  ~OnExit() { fn(); }
+};
+template <typename Fn>
+OnExit(Fn) -> OnExit<Fn>;
+
 std::uint64_t file_size(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0
@@ -265,6 +277,9 @@ TEST(ClusterChaosTest, WholeNodeKillWithArchiveLossIsAbsorbed) {
         "--cert",            cert_paths[i]};
   };
   std::vector<NodeProcess> daemons(kNodes + 1);
+  const OnExit reap_daemons{[&] {
+    for (NodeProcess& daemon : daemons) terminate_and_reap(daemon);
+  }};
   for (std::size_t i = 1; i <= kNodes; ++i) {
     daemons[i] = spawn_node(node_args(i));
     ASSERT_GT(daemons[i].pid, 0) << "node " << i << " failed to start";
@@ -316,6 +331,10 @@ TEST(ClusterChaosTest, WholeNodeKillWithArchiveLossIsAbsorbed) {
     daemons[victim] = spawn_node(node_args(victim));
     if (daemons[victim].pid <= 0) restarts_failed.fetch_add(1);
   });
+  const OnExit join_killer{[&] {
+    ingest_done.store(true);
+    if (killer.joinable()) killer.join();
+  }};
 
   // --- Ingest through the chaos; every record must ack somewhere.
   QueryService reference;

@@ -72,14 +72,15 @@ class ClusterCoordinatorTest : public ::testing::Test {
   }
 
   void start_cluster(std::size_t nodes, std::size_t rf,
-                     const std::string& suffix) {
+                     const std::string& suffix,
+                     std::uint64_t idle_timeout_ms = 0) {
     suffix_ = suffix;
     config_ = make_config(nodes, rf);
     for (const ClusterNodeSpec& spec : config_.nodes) {
       ClusterNodeOptions options;
       options.config = config_;
       options.node_id = spec.node_id;
-      options.server.idle_timeout_ms = 0;
+      options.server.idle_timeout_ms = idle_timeout_ms;
       auto node = ClusterNode::create(std::move(options));
       ASSERT_TRUE(node.has_value()) << node.status().to_string();
       ASSERT_TRUE((*node)->start().is_ok());
@@ -407,6 +408,33 @@ TEST_F(ClusterCoordinatorTest, IngestFailsOverWhenTheOwnerIsDown) {
   const QueryResponse response =
       coordinator->run(PointVolumeQuery{location, 0, Deadline::after(5s)});
   EXPECT_TRUE(response.ok()) << response.status.to_string();
+}
+
+TEST_F(ClusterCoordinatorTest, LinksClosedByTheIdleSweepAreRedialed) {
+  start_cluster(3, 2, "idle", /*idle_timeout_ms=*/50);
+  auto coordinator = make_coordinator();
+  const std::uint64_t location = location_owned_by(
+      coordinator->partition_map(), 1);
+  ASSERT_TRUE(coordinator->ingest(make_record(location, 0), Deadline::after(5s))
+                  .is_ok());
+  // Opens every link, then lets every node close it as idle; all stay up.
+  const auto open_links_then_idle = [&] {
+    for (const NodeStatus& status :
+         coordinator->cluster_status(Deadline::after(5s))) {
+      EXPECT_TRUE(status.reachable) << "node " << status.node_id;
+    }
+    std::this_thread::sleep_for(400ms);
+  };
+
+  open_links_then_idle();
+  const QueryResponse response =
+      coordinator->run(PointVolumeQuery{location, 0, Deadline::after(5s)});
+  EXPECT_TRUE(response.ok()) << response.status.to_string();
+
+  open_links_then_idle();
+  const Status ingested =
+      coordinator->ingest(make_record(location, 1), Deadline::after(5s));
+  EXPECT_TRUE(ingested.is_ok()) << ingested.to_string();
 }
 
 TEST_F(ClusterCoordinatorTest, UnreachablePartitionDegradesToPartialCoverage) {

@@ -373,7 +373,9 @@ TEST(Fuzz, ArchiveRestoreSkipsValidFrameWrappingInvalidRecord) {
     EXPECT_TRUE(service.has_record(1, 0));
     // Every restored record is structurally valid, whatever the mutation
     // did (if the flip happened to keep the record valid, all three load).
-    for (const TrafficRecord& rec : archive->live_contents()) {
+    auto live = archive->live_contents();
+    ASSERT_TRUE(live.has_value()) << live.status().to_string();
+    for (const TrafficRecord& rec : *live) {
       EXPECT_TRUE(rec.validate().is_ok());
     }
   }

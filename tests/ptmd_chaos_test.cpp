@@ -153,6 +153,18 @@ void terminate_and_reap(PtmdProcess& proc) {
   proc.close_pipe();
 }
 
+/// Runs `fn` however the scope ends: a failed ASSERT_* returns from the
+/// test body early, and the daemons it spawned (and the killer thread that
+/// restarts them) must not outlive it.  terminate_and_reap and a join of
+/// an already-joined thread are no-ops, so the normal path is unchanged.
+template <typename Fn>
+struct OnExit {
+  Fn fn;
+  ~OnExit() { fn(); }
+};
+template <typename Fn>
+OnExit(Fn) -> OnExit<Fn>;
+
 std::uint64_t file_size(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0
@@ -210,6 +222,7 @@ void run_chaos_scenario(const std::string& tag, bool authenticated) {
   }
 
   PtmdProcess daemon = spawn_ptmd(listen, archive, kStallUs, extra_args);
+  const OnExit reap_daemon{[&] { terminate_and_reap(daemon); }};
   ASSERT_GT(daemon.pid, 0) << "ptmd failed to start";
 
   // The killer: wait for real ingest progress, kill -9, restart; twice.
@@ -231,6 +244,10 @@ void run_chaos_scenario(const std::string& tag, bool authenticated) {
       }
     }
   });
+  const OnExit join_killer{[&] {
+    emulator_done.store(true);
+    if (killer.joinable()) killer.join();
+  }};
 
   EmulatorOptions options;
   options.location = kLocation;
