@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/crc32.hpp"
 #include "common/random.hpp"
+#include "common/serialize.hpp"
 #include "core/bootstrap.hpp"
 #include "core/encoding.hpp"
 #include "core/expansion.hpp"
@@ -27,6 +29,8 @@
 #include "simd/kernels.hpp"
 #include "store/archive.hpp"
 #include "traffic/workload.hpp"
+#include "transport/framing.hpp"
+#include "transport/wire.hpp"
 
 namespace {
 
@@ -100,6 +104,58 @@ PTM_PERF_BENCH(perf_bitmap) {
   ctx.measure("bitmap_expand/4Ki_to_1Mi", {}, [&] {
     auto expanded = expand_to(small, 1 << 20);
     do_not_optimize(expanded);
+  });
+}
+
+PTM_PERF_BENCH(perf_codec) {
+  // The record codec under every wire and archive path: one record at the
+  // paper's §VI sizes (m = 4, 16 and 32 Kbit), half its bits set.
+  char name[64];
+  for (std::size_t kbit : {4, 16, 32}) {
+    Xoshiro256 rng(kbit);
+    TrafficRecord rec{7, 3, Bitmap(kbit * 1024)};
+    for (std::size_t i = 0; i < rec.m() / 2; ++i) {
+      rec.bits.set(rng.below(rec.m()));
+    }
+    const std::vector<std::uint8_t> bytes = rec.serialize();
+    MeasureOptions opts;
+    opts.bytes_per_op = static_cast<double>(bytes.size());
+    std::snprintf(name, sizeof name, "record_serialize/%zuKbit", kbit);
+    ctx.measure(name, opts, [&] { do_not_optimize(rec.serialize()); });
+    std::snprintf(name, sizeof name, "record_deserialize/%zuKbit", kbit);
+    ctx.measure(name, opts,
+                [&] { do_not_optimize(TrafficRecord::deserialize(bytes)); });
+  }
+
+  Xoshiro256 rng(11);
+  std::vector<std::uint8_t> block(2048);
+  for (auto& b : block) b = static_cast<std::uint8_t>(rng.next());
+  MeasureOptions crc_opts;
+  crc_opts.bytes_per_op = static_cast<double>(block.size());
+  ctx.measure("crc32/2KiB", crc_opts, [&] { do_not_optimize(crc32(block)); });
+
+  // One 16 Kbit upload through the uplink's send path and ptmd's receive
+  // path (stream framing + envelope + record decode).
+  TrafficRecord upload{9, 4, Bitmap(16 * 1024)};
+  for (std::size_t i = 0; i < upload.m() / 2; ++i) {
+    upload.bits.set(rng.below(upload.m()));
+  }
+  const MacAddress src{1};
+  const MacAddress dst{2};
+  MeasureOptions upload_opts;
+  upload_opts.bytes_per_op = static_cast<double>(upload.serialized_size());
+  ctx.measure("upload_frame/encode", upload_opts, [&] {
+    ByteWriter w;
+    transport::append_frame(w, Frame{src, dst, RecordUpload{upload}, {}});
+    do_not_optimize(w.buffer());
+  });
+  ByteWriter framed;
+  transport::append_frame(framed, Frame{src, dst, RecordUpload{upload}, {}});
+  transport::StreamDecoder decoder;
+  ctx.measure("upload_frame/stream_decode", upload_opts, [&] {
+    decoder.feed(framed.buffer());
+    auto payload = decoder.next();
+    do_not_optimize(transport::decode_wire_message(**payload));
   });
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/math.hpp"
+#include "common/serialize.hpp"
 #include "simd/kernels.hpp"
 
 namespace ptm {
@@ -255,17 +256,21 @@ Result<Bitmap> Bitmap::replicate_to(std::size_t target_bits) const {
 }
 
 std::vector<std::uint8_t> Bitmap::serialize() const {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(8 + words_.size() * 8);
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(static_cast<std::uint8_t>(bit_count_ >> (8 * i)));
-  }
-  for (std::uint64_t w : words_) {
-    for (int i = 0; i < 8; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-    }
-  }
-  return bytes;
+  ByteWriter w;
+  serialize_into(w);
+  return w.take();
+}
+
+void Bitmap::serialize_into(ByteWriter& w) const {
+  // The bitmap is the only record-sized field of any message, so it sizes
+  // the buffer for every encoder: its own bytes plus room for the few
+  // fixed-size fields written after it (an outbox push's trace context).
+  constexpr std::size_t kTrailerBytes = 32;
+  w.reserve(serialized_size() + kTrailerBytes);
+  w.u64(bit_count_);
+  // Little-endian words are their own wire form (serialize.hpp).
+  w.raw({reinterpret_cast<const std::uint8_t*>(words_.data()),
+         words_.size() * sizeof(std::uint64_t)});
 }
 
 Result<Bitmap> Bitmap::deserialize(std::span<const std::uint8_t> bytes) {
@@ -273,21 +278,16 @@ Result<Bitmap> Bitmap::deserialize(std::span<const std::uint8_t> bytes) {
     return Status{ErrorCode::kParseError, "bitmap header truncated"};
   }
   std::uint64_t bit_count = 0;
-  for (int i = 0; i < 8; ++i) {
-    bit_count |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  }
-  const std::uint64_t expected_words = ceil_div(bit_count, kWordBits);
+  std::memcpy(&bit_count, bytes.data(), sizeof(bit_count));
+  // ceil(bit_count / 64) without ceil_div's `+ 63`, which wraps for a
+  // bit count near 2^64 and would accept a header with no words.
+  const std::uint64_t expected_words =
+      bit_count / kWordBits + (bit_count % kWordBits != 0 ? 1 : 0);
   if (bytes.size() != 8 + expected_words * 8) {
     return Status{ErrorCode::kParseError, "bitmap body length mismatch"};
   }
   Bitmap out(static_cast<std::size_t>(bit_count));
-  for (std::size_t w = 0; w < expected_words; ++w) {
-    std::uint64_t word = 0;
-    for (int i = 0; i < 8; ++i) {
-      word |= static_cast<std::uint64_t>(bytes[8 + w * 8 + i]) << (8 * i);
-    }
-    out.words_[w] = word;
-  }
+  std::memcpy(out.words_.data(), bytes.data() + 8, expected_words * 8);
   if (expected_words > 0 &&
       (out.words_.back() & ~out.tail_mask()) != 0) {
     return Status{ErrorCode::kParseError, "stray bits beyond bitmap size"};

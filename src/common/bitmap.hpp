@@ -22,6 +22,8 @@
 
 namespace ptm {
 
+class ByteWriter;
+
 class Bitmap {
  public:
   /// Empty bitmap (0 bits).
@@ -103,6 +105,12 @@ class Bitmap {
   /// Serialization: 8-byte little-endian bit count followed by the packed
   /// words.  `deserialize` validates the length.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  /// Appends exactly serialized_size() bytes - serialize()'s - to `w`,
+  /// copying whole words.
+  void serialize_into(ByteWriter& w) const;
+  [[nodiscard]] std::size_t serialized_size() const noexcept {
+    return 8 + words_.size() * 8;
+  }
   [[nodiscard]] static Result<Bitmap> deserialize(
       std::span<const std::uint8_t> bytes);
 

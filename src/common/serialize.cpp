@@ -1,8 +1,7 @@
 #include "common/serialize.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
-#include <limits>
 
 namespace ptm {
 
@@ -11,6 +10,13 @@ void ByteWriter::f64(double v) {
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
   u64(bits);
+}
+
+void ByteWriter::reserve(std::size_t additional) {
+  const std::size_t needed = buf_.size() + additional;
+  if (needed > buf_.capacity()) {
+    buf_.reserve(std::max(needed, 2 * buf_.capacity()));
+  }
 }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
@@ -27,40 +33,27 @@ void ByteWriter::raw(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-Result<std::uint64_t> ByteReader::read_le(int bytes_count) {
-  if (remaining() < static_cast<std::size_t>(bytes_count)) {
+template <typename T>
+Result<T> ByteReader::read_le() {
+  if (remaining() < sizeof(T)) {
     return Status{ErrorCode::kParseError, "buffer underrun"};
   }
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes_count; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += static_cast<std::size_t>(bytes_count);
+  T v;
+  std::memcpy(&v, data_.data() + pos_, sizeof(T));
+  pos_ += sizeof(T);
   return v;
 }
 
-Result<std::uint8_t> ByteReader::u8() {
-  auto r = read_le(1);
-  if (!r) return r.status();
-  return static_cast<std::uint8_t>(*r);
-}
+Result<std::uint8_t> ByteReader::u8() { return read_le<std::uint8_t>(); }
 
-Result<std::uint16_t> ByteReader::u16() {
-  auto r = read_le(2);
-  if (!r) return r.status();
-  return static_cast<std::uint16_t>(*r);
-}
+Result<std::uint16_t> ByteReader::u16() { return read_le<std::uint16_t>(); }
 
-Result<std::uint32_t> ByteReader::u32() {
-  auto r = read_le(4);
-  if (!r) return r.status();
-  return static_cast<std::uint32_t>(*r);
-}
+Result<std::uint32_t> ByteReader::u32() { return read_le<std::uint32_t>(); }
 
-Result<std::uint64_t> ByteReader::u64() { return read_le(8); }
+Result<std::uint64_t> ByteReader::u64() { return read_le<std::uint64_t>(); }
 
 Result<double> ByteReader::f64() {
-  auto r = read_le(8);
+  auto r = read_le<std::uint64_t>();
   if (!r) return r.status();
   double v;
   const std::uint64_t bits = *r;
@@ -69,25 +62,36 @@ Result<double> ByteReader::f64() {
 }
 
 Result<std::vector<std::uint8_t>> ByteReader::bytes() {
+  auto view = bytes_view();
+  if (!view) return view.status();
+  return std::vector<std::uint8_t>(view->begin(), view->end());
+}
+
+Result<std::span<const std::uint8_t>> ByteReader::bytes_view() {
   auto len = u32();
   if (!len) return len.status();
-  return raw(*len);
+  return raw_view(*len);
 }
 
 Result<std::string> ByteReader::str() {
-  auto blob = bytes();
+  auto blob = bytes_view();
   if (!blob) return blob.status();
   return std::string(blob->begin(), blob->end());
 }
 
 Result<std::vector<std::uint8_t>> ByteReader::raw(std::size_t n) {
+  auto view = raw_view(n);
+  if (!view) return view.status();
+  return std::vector<std::uint8_t>(view->begin(), view->end());
+}
+
+Result<std::span<const std::uint8_t>> ByteReader::raw_view(std::size_t n) {
   if (remaining() < n) {
     return Status{ErrorCode::kParseError, "buffer underrun in raw read"};
   }
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const auto view = data_.subspan(pos_, n);
   pos_ += n;
-  return out;
+  return view;
 }
 
 }  // namespace ptm

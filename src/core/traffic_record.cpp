@@ -21,11 +21,15 @@ Status TrafficRecord::validate() const {
 
 std::vector<std::uint8_t> TrafficRecord::serialize() const {
   ByteWriter w;
+  serialize_into(w);
+  return w.take();
+}
+
+void TrafficRecord::serialize_into(ByteWriter& w) const {
   w.u64(location);
   w.u64(period);
-  const auto bitmap_bytes = bits.serialize();
-  w.bytes(bitmap_bytes);
-  return w.take();
+  w.u32(static_cast<std::uint32_t>(bits.serialized_size()));
+  bits.serialize_into(w);
 }
 
 Result<TrafficRecord> TrafficRecord::deserialize(
@@ -38,7 +42,7 @@ Result<TrafficRecord> TrafficRecord::deserialize(
   auto per = r.u64();
   if (!per) return per.status();
   rec.period = *per;
-  auto blob = r.bytes();
+  auto blob = r.bytes_view();
   if (!blob) return blob.status();
   auto bitmap = Bitmap::deserialize(*blob);
   if (!bitmap) return bitmap.status();

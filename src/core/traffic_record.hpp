@@ -15,6 +15,8 @@
 
 namespace ptm {
 
+class ByteWriter;
+
 struct TrafficRecord {
   std::uint64_t location = 0;  ///< L - RSU location code
   std::uint64_t period = 0;    ///< measurement period index
@@ -27,6 +29,11 @@ struct TrafficRecord {
 
   /// Wire format: location, period, bitmap.  Used for RSU -> server upload.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  /// Appends exactly serialized_size() bytes - serialize()'s - to `w`.
+  void serialize_into(ByteWriter& w) const;
+  [[nodiscard]] std::size_t serialized_size() const noexcept {
+    return 8 + 8 + 4 + bits.serialized_size();
+  }
   [[nodiscard]] static Result<TrafficRecord> deserialize(
       std::span<const std::uint8_t> bytes);
 

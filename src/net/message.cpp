@@ -49,8 +49,8 @@ void encode_body(const MessageBody& body, ByteWriter& w) {
     void operator()(const EncodeIndex& m) const { w.u64(m.index); }
     void operator()(const EncodeAck&) const {}
     void operator()(const RecordUpload& m) const {
-      const auto rec = m.record.serialize();
-      w.bytes(rec);
+      w.u32(static_cast<std::uint32_t>(m.record.serialized_size()));
+      m.record.serialize_into(w);
     }
     void operator()(const UploadAck& m) const {
       w.u64(m.location);
@@ -103,7 +103,7 @@ Result<MessageBody> decode_body(MessageType type, ByteReader& r) {
     case MessageType::kEncodeAck:
       return MessageBody{EncodeAck{}};
     case MessageType::kRecordUpload: {
-      auto rec_bytes = r.bytes();
+      auto rec_bytes = r.bytes_view();
       if (!rec_bytes) return rec_bytes.status();
       auto rec = TrafficRecord::deserialize(*rec_bytes);
       if (!rec) return rec.status();
@@ -127,15 +127,20 @@ Result<MessageBody> decode_body(MessageType type, ByteReader& r) {
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   ByteWriter w;
+  encode_frame(w, frame);
+  return w.take();
+}
+
+void encode_frame(ByteWriter& w, const Frame& frame) {
   w.u8(static_cast<std::uint8_t>(frame.type()));
   w.u64(frame.src.value);
   w.u64(frame.dst.value);
   w.u64(frame.trace.trace_id);
   w.u64(frame.trace.span_id);
-  ByteWriter body;
-  encode_body(frame.body, body);
-  w.bytes(body.buffer());
-  return w.take();
+  const std::size_t body_at = w.size();
+  w.u32(0);  // body length, patched once the body is written
+  encode_body(frame.body, w);
+  w.patch_u32(body_at, static_cast<std::uint32_t>(w.size() - body_at - 4));
 }
 
 Result<Frame> decode_frame(std::span<const std::uint8_t> bytes) {
@@ -158,7 +163,7 @@ Result<Frame> decode_frame(std::span<const std::uint8_t> bytes) {
   auto span_id = r.u64();
   if (!span_id) return span_id.status();
   frame.trace.span_id = *span_id;
-  auto payload = r.bytes();
+  auto payload = r.bytes_view();
   if (!payload) return payload.status();
   if (!r.exhausted()) {
     return Status{ErrorCode::kParseError, "trailing bytes after frame"};

@@ -39,6 +39,8 @@
 
 namespace ptm {
 
+class ByteWriter;
+
 enum class MessageType : std::uint8_t {
   kBeacon = 1,
   kAuthRequest = 2,
@@ -111,6 +113,8 @@ struct Frame {
 
 /// Encodes a frame to wire bytes.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
+/// Appends the frame's wire bytes to `w` in one pass.
+void encode_frame(ByteWriter& w, const Frame& frame);
 
 /// Decodes wire bytes; ParseError on truncation, unknown type, or any
 /// malformed nested structure.

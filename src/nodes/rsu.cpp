@@ -103,9 +103,12 @@ Status Rsu::attach_durability(const std::string& journal_path,
                               std::size_t outbox_capacity) {
   auto outbox = UploadOutbox::open(outbox_path, outbox_capacity);
   if (!outbox) return outbox.status();
+  // Adopt the outbox before anything else can fail: open compacted its
+  // file into a fresh inode, and an outbox kept from before would append
+  // every later push and ack to the unlinked old one.
+  outbox_ = std::move(*outbox);
   auto journal = RsuJournal::open(journal_path);
   if (!journal) return journal.status();
-  outbox_ = std::move(*outbox);
   journal_ = std::move(*journal);
   journal_path_ = journal_path;
   outbox_path_ = outbox_path;

@@ -170,30 +170,6 @@ Status FramedLogFile::rename(const std::string& to) {
   return Status::ok();
 }
 
-Status framed_log_create(const std::string& path, const LogMagic& magic) {
-  return FramedLogFile::open(path, magic).status();
-}
-
-Status framed_log_append(const std::string& path,
-                         std::span<const std::uint8_t> payload) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                        0666);
-  if (fd < 0) {
-    return {ErrorCode::kInternal, "cannot open " + path + " for append"};
-  }
-  struct stat st {};
-  Status s = ::fstat(fd, &st) == 0
-                 ? Status::ok()
-                 : Status{ErrorCode::kInternal, "cannot stat " + path};
-  bool torn = false;
-  if (s.is_ok()) {
-    s = write_entry(fd, static_cast<std::uint64_t>(st.st_size), payload,
-                    path, torn);
-  }
-  ::close(fd);
-  return s;
-}
-
 Result<FramedLogTail> scan_framed_log(
     const std::string& path, const LogMagic& magic,
     const std::function<Status(const FrameExtent&,
@@ -263,8 +239,9 @@ Result<FramedLogContents> read_framed_log(const std::string& path,
   return contents;
 }
 
-Status framed_log_rewrite(const std::string& path, const LogMagic& magic,
-                          std::span<const std::vector<std::uint8_t>> entries) {
+Result<FramedLogFile> framed_log_rewrite(
+    const std::string& path, const LogMagic& magic,
+    std::span<const std::vector<std::uint8_t>> entries) {
   const std::string temp_path = path + ".rewrite";
   std::remove(temp_path.c_str());
   auto file = FramedLogFile::open(temp_path, magic);
@@ -279,7 +256,7 @@ Status framed_log_rewrite(const std::string& path, const LogMagic& magic,
     std::remove(temp_path.c_str());
     return s;
   }
-  return Status::ok();
+  return file;
 }
 
 }  // namespace ptm

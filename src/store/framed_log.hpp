@@ -70,17 +70,6 @@ class FramedLogFile {
   bool wedged_ = false;     ///< a torn write could not be rolled back
 };
 
-/// Creates `path` with the magic header if absent/empty; validates the
-/// magic if it exists.  FailedPrecondition when the file holds something
-/// else.
-[[nodiscard]] Status framed_log_create(const std::string& path,
-                                       const LogMagic& magic);
-
-/// Appends one length-prefixed, CRC-protected entry (opening and closing
-/// the file); a failed write is rolled back as in FramedLogFile::append.
-[[nodiscard]] Status framed_log_append(const std::string& path,
-                                       std::span<const std::uint8_t> payload);
-
 /// Where a scan stopped: whether a torn / corrupt tail was skipped (and
 /// why).
 struct FramedLogTail {
@@ -112,8 +101,10 @@ struct FramedLogContents : FramedLogTail {
 
 /// Atomically replaces `path` with a fresh log holding `entries`, via a
 /// temp file + rename.  The old contents survive any crash before the
-/// rename commits.
-[[nodiscard]] Status framed_log_rewrite(
+/// rename commits.  Returns the new file, open for appends - a writer that
+/// held the old file swaps to it, since the old descriptor now points at
+/// an unlinked inode.
+[[nodiscard]] Result<FramedLogFile> framed_log_rewrite(
     const std::string& path, const LogMagic& magic,
     std::span<const std::vector<std::uint8_t>> entries);
 

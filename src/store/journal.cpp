@@ -1,7 +1,6 @@
 #include "store/journal.hpp"
 
 #include "common/serialize.hpp"
-#include "store/framed_log.hpp"
 
 namespace ptm {
 namespace {
@@ -64,19 +63,24 @@ Result<JournalEntry> decode_journal_entry(
 }
 
 Result<RsuJournal> RsuJournal::open(std::string path) {
-  RsuJournal journal(std::move(path));
-  if (Status s = framed_log_create(journal.path_, kMagic); !s.is_ok()) {
-    if (s.code() == ErrorCode::kFailedPrecondition) {
+  auto log = FramedLogFile::open(path, kMagic);
+  if (!log) {
+    if (log.status().code() == ErrorCode::kFailedPrecondition) {
       return Status{ErrorCode::kFailedPrecondition,
-                    journal.path_ + " exists but is not an RSU journal"};
+                    path + " exists but is not an RSU journal"};
     }
-    return s;
+    return log.status();
   }
-  auto contents = read_framed_log(journal.path_, kMagic);
+  RsuJournal journal(std::move(*log));
+  auto contents = read_framed_log(path, kMagic);
   if (!contents) return contents.status();
+  bool torn = contents->truncated_tail;
   for (const auto& payload : contents->entries) {
     auto entry = decode_journal_entry(payload);
-    if (!entry) break;  // undecodable entry: stop like a torn tail
+    if (!entry) {  // undecodable entry: stop like a torn tail
+      torn = true;
+      break;
+    }
     if (const auto* start = std::get_if<JournalPeriodStart>(&*entry)) {
       // A later PeriodStart supersedes everything before it (a crash
       // between outbox push and journal reset can leave two).
@@ -87,6 +91,21 @@ Result<RsuJournal> RsuJournal::open(std::string path) {
           std::get<JournalEncode>(*entry).index);
     }
   }
+  if (torn) {
+    // Heal now: an append after the torn bytes would sit beyond where
+    // every later replay stops.  The rewrite keeps exactly what replayed.
+    std::vector<std::vector<std::uint8_t>> entries;
+    if (const auto& replayed = journal.replayed_) {
+      entries.push_back(encode_journal_entry(JournalPeriodStart{
+          replayed->location, replayed->period, replayed->bitmap_size}));
+      for (std::uint64_t index : replayed->encode_indices) {
+        entries.push_back(encode_journal_entry(JournalEncode{index}));
+      }
+    }
+    auto healed = framed_log_rewrite(path, kMagic, entries);
+    if (!healed) return healed.status();
+    journal.log_ = std::move(*healed);
+  }
   return journal;
 }
 
@@ -95,11 +114,14 @@ Status RsuJournal::begin_period(std::uint64_t location, std::uint64_t period,
   const std::vector<std::vector<std::uint8_t>> entries = {
       encode_journal_entry(
           JournalPeriodStart{location, period, bitmap_size})};
-  return framed_log_rewrite(path_, kMagic, entries);
+  auto rewritten = framed_log_rewrite(log_.path(), kMagic, entries);
+  if (!rewritten) return rewritten.status();
+  log_ = std::move(*rewritten);
+  return Status::ok();
 }
 
 Status RsuJournal::record_encode(std::uint64_t index) {
-  return framed_log_append(path_, encode_journal_entry(JournalEncode{index}));
+  return log_.append(encode_journal_entry(JournalEncode{index})).status();
 }
 
 }  // namespace ptm

@@ -12,9 +12,13 @@
 //          | 0x02 index                         (Encode)
 //
 // Replay-on-open rebuilds (location, period, bitmap) from the latest
-// PeriodStart and the encodes after it.  Whether the replayed period is
-// still open or was already closed into the outbox is the RSU's call (it
-// cross-checks the outbox), not the journal's.
+// PeriodStart and the encodes after it; a torn or undecodable tail is
+// healed on open (the file is rewritten with what replayed), so later
+// encodes never land behind bytes the next replay stops at.  Whether the
+// replayed period is still open or was already closed into the outbox is
+// the RSU's call (it cross-checks the outbox), not the journal's.  The
+// journal holds its file open: an encode is one write, not open + write +
+// close.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "store/framed_log.hpp"
 
 namespace ptm {
 
@@ -59,7 +64,8 @@ class RsuJournal {
   };
 
   /// Opens/creates the journal and replays any existing entries.  A torn
-  /// tail is tolerated; a non-journal file is FailedPrecondition.
+  /// tail is tolerated and healed; a non-journal file is
+  /// FailedPrecondition.
   [[nodiscard]] static Result<RsuJournal> open(std::string path);
 
   /// The period replayed at open time, if the journal held one.
@@ -76,15 +82,17 @@ class RsuJournal {
                                     std::uint64_t bitmap_size);
 
   /// Appends one accepted encode.  Called on the contact hot path; one
-  /// buffered append + flush.
+  /// write on the held-open file.
   [[nodiscard]] Status record_encode(std::uint64_t index);
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::string& path() const noexcept {
+    return log_.path();
+  }
 
  private:
-  explicit RsuJournal(std::string path) : path_(std::move(path)) {}
+  explicit RsuJournal(FramedLogFile log) : log_(std::move(log)) {}
 
-  std::string path_;
+  FramedLogFile log_;
   std::optional<ReplayedPeriod> replayed_;
 };
 

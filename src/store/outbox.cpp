@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/serialize.hpp"
-#include "store/framed_log.hpp"
 
 namespace ptm {
 namespace {
@@ -17,7 +16,8 @@ std::vector<std::uint8_t> encode_push(const TrafficRecord& record,
                                       const TraceContext& trace) {
   ByteWriter w;
   w.u8(kOpPush);
-  w.bytes(record.serialize());
+  w.u32(static_cast<std::uint32_t>(record.serialized_size()));
+  record.serialize_into(w);
   w.u64(trace.trace_id);
   w.u64(trace.span_id);
   return w.take();
@@ -41,22 +41,23 @@ UploadOutbox::UploadOutbox(std::size_t capacity)
 Result<UploadOutbox> UploadOutbox::open(std::string path,
                                         std::size_t capacity) {
   UploadOutbox outbox(capacity);
-  outbox.path_ = std::move(path);
-  if (Status s = framed_log_create(outbox.path_, kMagic); !s.is_ok()) {
-    if (s.code() == ErrorCode::kFailedPrecondition) {
+  auto log = FramedLogFile::open(path, kMagic);
+  if (!log) {
+    if (log.status().code() == ErrorCode::kFailedPrecondition) {
       return Status{ErrorCode::kFailedPrecondition,
-                    outbox.path_ + " exists but is not an outbox log"};
+                    path + " exists but is not an outbox log"};
     }
-    return s;
+    return log.status();
   }
-  auto contents = read_framed_log(outbox.path_, kMagic);
+  outbox.log_ = std::move(*log);
+  auto contents = read_framed_log(path, kMagic);
   if (!contents) return contents.status();
   for (const auto& payload : contents->entries) {
     ByteReader r(payload);
     auto kind = r.u8();
     if (!kind) continue;  // unreadable op: skip, compaction drops it
     if (*kind == kOpPush) {
-      auto rec_bytes = r.bytes();
+      auto rec_bytes = r.bytes_view();
       if (!rec_bytes) continue;
       auto record = TrafficRecord::deserialize(*rec_bytes);
       if (!record) continue;
@@ -105,7 +106,7 @@ Status UploadOutbox::log_op(std::uint8_t kind, const Entry* pushed,
   const auto payload = kind == kOpPush
                            ? encode_push(pushed->record, pushed->trace)
                            : encode_keyed(kind, location, period);
-  return framed_log_append(path_, payload);
+  return log_->append(payload).status();
 }
 
 Status UploadOutbox::compact() {
@@ -115,7 +116,10 @@ Status UploadOutbox::compact() {
   for (const Entry& e : entries_) {
     ops.push_back(encode_push(e.record, e.trace));
   }
-  return framed_log_rewrite(path_, kMagic, ops);
+  auto rewritten = framed_log_rewrite(log_->path(), kMagic, ops);
+  if (!rewritten) return rewritten.status();
+  log_ = std::move(*rewritten);
+  return Status::ok();
 }
 
 Status UploadOutbox::push(const TrafficRecord& record,

@@ -19,7 +19,8 @@
 // TraceContext (obs/trace.hpp); logs written before tracing existed omit
 // them and replay as untraced entries (the reader tolerates their
 // absence).  The log is compacted (rewritten with only pending pushes) on
-// open, which also heals torn tails.
+// open, which also heals torn tails.  The outbox holds the log open, so an
+// op costs one write, not open + write + close.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "common/status.hpp"
 #include "core/traffic_record.hpp"
 #include "obs/trace.hpp"
+#include "store/framed_log.hpp"
 
 namespace ptm {
 
@@ -73,8 +75,12 @@ class UploadOutbox {
   }
   [[nodiscard]] std::uint64_t evicted() const noexcept { return evicted_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool persistent() const noexcept { return !path_.empty(); }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] bool persistent() const noexcept { return log_.has_value(); }
+  /// The ops log's path; empty for in-memory outboxes.
+  [[nodiscard]] const std::string& path() const noexcept {
+    static const std::string kNone;
+    return log_ ? log_->path() : kNone;
+  }
 
   /// Pending entries, oldest first.  Pointers stay valid until the next
   /// push/acknowledge.
@@ -99,7 +105,7 @@ class UploadOutbox {
                               std::uint64_t location, std::uint64_t period);
   [[nodiscard]] Status compact();
 
-  std::string path_;  ///< empty for in-memory outboxes
+  std::optional<FramedLogFile> log_;  ///< held open; none when in-memory
   std::size_t capacity_;
   std::deque<Entry> entries_;  ///< oldest first
   std::uint64_t evicted_ = 0;

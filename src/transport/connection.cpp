@@ -189,9 +189,9 @@ Status SupervisedConnection::send(const WireMessage& message) {
   if (state_ != State::kConnected || !session_.has_value()) {
     return {ErrorCode::kChannelError, "not connected"};
   }
-  const std::vector<std::uint8_t> wire =
-      frame_payload(encode_wire_message(message));
-  auto written = session_->write_frame(wire, tuning_.io_timeout_ms);
+  ByteWriter wire;
+  append_frame(wire, message);
+  auto written = session_->write_frame(wire.buffer(), tuning_.io_timeout_ms);
   if (!written) {
     mark(State::kBroken);
     return written.status();
@@ -203,7 +203,7 @@ Status SupervisedConnection::send(const WireMessage& message) {
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> SupervisedConnection::read_frame(
+Result<std::span<const std::uint8_t>> SupervisedConnection::read_frame(
     const Deadline& deadline) {
   for (;;) {
     auto payload = decoder_.next();
@@ -211,7 +211,7 @@ Result<std::vector<std::uint8_t>> SupervisedConnection::read_frame(
       mark(State::kBroken);
       return payload.status();  // poisoned stream: caller must sever
     }
-    if (payload->has_value()) return std::move(**payload);
+    if (payload->has_value()) return **payload;
     if (deadline.expired_now()) {
       return Status{ErrorCode::kDeadlineExceeded, "read deadline exceeded"};
     }
@@ -254,6 +254,8 @@ Result<WireMessage> SupervisedConnection::receive(const Deadline& deadline) {
     }
     auto payload = read_frame(deadline);
     if (!payload) return payload.status();
+    // Decode into an owned message first: the payload views decoder_,
+    // which the sends and severs below may feed or reset.
     auto msg = decode_wire_message(*payload);
     if (!msg) {
       // A codec violation inside a well-framed payload is as fatal as a

@@ -185,8 +185,9 @@ class SupervisedConnection {
  private:
   void mark(State s) noexcept;
   [[nodiscard]] std::uint64_t backoff_delay_ms(std::uint32_t attempt);
-  /// Reads until the decoder yields one payload; deadline-bounded.
-  [[nodiscard]] Result<std::vector<std::uint8_t>> read_frame(
+  /// Reads until the decoder yields one payload; deadline-bounded.  The
+  /// payload is a view into decoder_, valid until it is fed again.
+  [[nodiscard]] Result<std::span<const std::uint8_t>> read_frame(
       const Deadline& deadline);
   /// Runs hello -> challenge -> proof -> ok on the freshly dialed
   /// session.  kAuthFailure = definitive server reject; anything else is

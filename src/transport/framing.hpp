@@ -15,6 +15,11 @@
 // length there is no way to re-synchronize a length-prefixed stream.  The
 // transport fuzz suite feeds this decoder garbage and truncated frames
 // under ASan.
+//
+// Both directions avoid copying the payload: an encoder reserves the
+// prefix with open_frame, writes the message behind it and patches the
+// length in with seal_frame; the decoder hands out a view of each
+// complete frame inside its own buffer.
 #pragma once
 
 #include <cstdint>
@@ -22,14 +27,24 @@
 #include <span>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "common/status.hpp"
 
 namespace ptm::transport {
 
-/// Prepends the u32 length prefix to one message payload.  Aborts when the
-/// payload exceeds StreamDecoder::kMaxFrameBytes: an oversize frame could
-/// never be decoded by a peer, and past 4 GiB the prefix would silently
-/// truncate - an encode-side framing violation is a programming error.
+/// Writes a placeholder length prefix at the end of `w` and returns its
+/// offset; the frame's payload follows, then seal_frame.
+[[nodiscard]] std::size_t open_frame(ByteWriter& w);
+
+/// Patches the prefix opened at `prefix_at` with the length of everything
+/// written after it.  Aborts when that payload exceeds
+/// StreamDecoder::kMaxFrameBytes: an oversize frame could never be decoded
+/// by a peer, and past 4 GiB the prefix would silently truncate - an
+/// encode-side framing violation is a programming error.
+void seal_frame(ByteWriter& w, std::size_t prefix_at);
+
+/// Prepends the u32 length prefix to one message payload (a copy; the
+/// transport's own senders frame in place).  Aborts like seal_frame.
 [[nodiscard]] std::vector<std::uint8_t> frame_payload(
     std::span<const std::uint8_t> payload);
 
@@ -48,10 +63,13 @@ class StreamDecoder {
   /// turns true, further feeds are ignored (the connection is dead).
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Extracts the next complete frame payload: nullopt when the buffer
-  /// holds only a partial frame (read more), ParseError when the stream is
-  /// poisoned by an oversize or zero-length prefix (sever the connection).
-  [[nodiscard]] Result<std::optional<std::vector<std::uint8_t>>> next();
+  /// Extracts the next complete frame payload as a view into the
+  /// decoder's buffer, valid until the next feed() (or the decoder's
+  /// destruction) - decode it before reading more.  nullopt when the
+  /// buffer holds only a partial frame (read more), ParseError when the
+  /// stream is poisoned by an oversize or zero-length prefix (sever the
+  /// connection).
+  [[nodiscard]] Result<std::optional<std::span<const std::uint8_t>>> next();
 
   /// True once an unrecoverable framing violation was seen.
   [[nodiscard]] bool poisoned() const noexcept { return poisoned_; }

@@ -400,7 +400,8 @@ void encode_location_join(ByteWriter& w, const LocationJoin& join) {
   if (join.join.empty()) {
     w.bytes({});
   } else {
-    w.bytes(join.join.serialize());
+    w.u32(static_cast<std::uint32_t>(join.join.serialized_size()));
+    join.join.serialize_into(w);
   }
 }
 
@@ -410,7 +411,7 @@ Result<LocationJoin> decode_location_join(ByteReader& r) {
   auto present = decode_u64_list(r);
   if (!present) return present.status();
   join.present = std::move(*present);
-  auto blob = r.bytes();
+  auto blob = r.bytes_view();
   if (!blob) return blob.status();
   if (!blob->empty()) {
     auto bitmap = Bitmap::deserialize(*blob);

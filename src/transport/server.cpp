@@ -66,6 +66,8 @@ PtmdServer::PtmdServer(PtmdOptions options)
           service_.telemetry().counter("transport_repl_records_total")),
       calls_offloaded_(
           service_.telemetry().counter("transport_calls_offloaded_total")),
+      interest_updates_(
+          service_.telemetry().counter("transport_interest_updates_total")),
       connections_(service_.telemetry().gauge("transport_connections")),
       repl_subscribers_(
           service_.telemetry().gauge("transport_repl_subscribers")),
@@ -240,8 +242,10 @@ void PtmdServer::call_worker_main() {
       calls_.pop_front();
     }
     loop_.post([this, conn_id = job.conn_id,
-                payload = answer_call(job.call)] {
-      if (Conn* conn = conn_by_id(conn_id)) send_payload(*conn, payload);
+                framed = answer_call(job.call)]() mutable {
+      if (Conn* conn = conn_by_id(conn_id)) {
+        send_framed(*conn, std::move(framed));
+      }
     });
   }
 }
@@ -324,7 +328,9 @@ void PtmdServer::on_conn_event(int fd, std::uint32_t events) {
     }
     // Drain every complete frame buffered so far.  Stops early when a
     // handler pauses the connection (backpressure) - the remaining bytes
-    // wait in the decoder until the resume path re-drains.
+    // wait in the decoder until the resume path re-drains.  Each payload
+    // is a view into conn.decoder, which handle_payload decodes into an
+    // owned message before any handler can close (and so destroy) it.
     while (!conn.paused && !conn.closing) {
       auto payload = conn.decoder.next();
       if (!payload) {
@@ -357,8 +363,8 @@ void PtmdServer::handle_payload(Conn& conn,
     handle_auth(conn, *message);
     return;
   }
-  if (const auto* frame = std::get_if<Frame>(&*message)) {
-    handle_frame(conn, *frame);
+  if (auto* frame = std::get_if<Frame>(&*message)) {
+    handle_frame(conn, std::move(*frame));
     return;
   }
   if (const auto* hb = std::get_if<Heartbeat>(&*message)) {
@@ -461,9 +467,9 @@ void PtmdServer::reject_auth(Conn& conn, AuthRejectCode code) {
   send_message(conn, AuthReject{code});
 }
 
-void PtmdServer::handle_frame(Conn& conn, const Frame& frame) {
+void PtmdServer::handle_frame(Conn& conn, Frame&& frame) {
   frames_.add();
-  const auto* upload = std::get_if<RecordUpload>(&frame.body);
+  auto* upload = std::get_if<RecordUpload>(&frame.body);
   if (upload == nullptr) return;  // ptmd ingests; other V2I traffic is noise
   const std::uint64_t location = upload->record.location;
   const std::uint64_t period = upload->record.period;
@@ -488,7 +494,8 @@ void PtmdServer::handle_frame(Conn& conn, const Frame& frame) {
   }
   {
     std::lock_guard lock(jobs_mu_);
-    jobs_.push_back(IngestJob{conn.id, upload->record, frame.trace});
+    jobs_.push_back(
+        IngestJob{conn.id, std::move(upload->record), frame.trace});
   }
   jobs_cv_.notify_one();
 }
@@ -502,7 +509,7 @@ void PtmdServer::handle_call(Conn& conn, WireMessage call) {
   // concurrent ingest's ack p90 from 0.08-0.27 ms to 1.2-3.3 ms when run
   // inline (docs/cluster.md).
   if (call_cost_bytes(call) <= kInlineCallBytes) {
-    send_payload(conn, answer_call(call));
+    send_framed(conn, answer_call(call));
     return;
   }
   calls_offloaded_.add();
@@ -556,17 +563,24 @@ std::vector<std::uint8_t> PtmdServer::answer_call(
                       service_.join_location(join.location, join.periods,
                                              join.deadline)};
   }
-  std::vector<std::uint8_t> payload = encode_wire_message(reply);
-  if (payload.size() <= StreamDecoder::kMaxFrameBytes) return payload;
-  const Status oversize{ErrorCode::kResourceExhausted,
-                        "reply exceeds the frame limit"};
-  if (auto* query = std::get_if<QueryReply>(&reply)) {
-    query->response = QueryResponse{};
-    query->response.status = oversize;
-  } else {
-    std::get<JoinReply>(reply).join = LocationJoin{oversize, {}, {}};
+  ByteWriter w;
+  std::size_t prefix_at = open_frame(w);
+  encode_wire_message(w, reply);
+  if (w.size() - prefix_at - 4 > StreamDecoder::kMaxFrameBytes) {
+    const Status oversize{ErrorCode::kResourceExhausted,
+                          "reply exceeds the frame limit"};
+    if (auto* query = std::get_if<QueryReply>(&reply)) {
+      query->response = QueryResponse{};
+      query->response.status = oversize;
+    } else {
+      std::get<JoinReply>(reply).join = LocationJoin{oversize, {}, {}};
+    }
+    w = ByteWriter();
+    prefix_at = open_frame(w);
+    encode_wire_message(w, reply);
   }
-  return encode_wire_message(reply);
+  seal_frame(w, prefix_at);
+  return w.take();
 }
 
 void PtmdServer::handle_repl_subscribe(Conn& conn, const ReplSubscribe& sub) {
@@ -694,13 +708,19 @@ void PtmdServer::finish_ingest(std::uint64_t conn_id, std::uint64_t location,
 }
 
 void PtmdServer::send_message(Conn& conn, const WireMessage& message) {
-  send_payload(conn, encode_wire_message(message));
+  // Encode straight into the connection's unsent output, no staging copy.
+  ByteWriter w(std::move(conn.outbuf));
+  append_frame(w, message);
+  conn.outbuf = w.take();
+  flush(conn);
 }
 
-void PtmdServer::send_payload(Conn& conn,
-                              std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> wire = frame_payload(payload);
-  conn.outbuf.insert(conn.outbuf.end(), wire.begin(), wire.end());
+void PtmdServer::send_framed(Conn& conn, std::vector<std::uint8_t> framed) {
+  if (conn.outbuf.empty()) {
+    conn.outbuf = std::move(framed);
+  } else {
+    conn.outbuf.insert(conn.outbuf.end(), framed.begin(), framed.end());
+  }
   flush(conn);
 }
 
@@ -736,7 +756,15 @@ void PtmdServer::update_interest(Conn& conn) {
   std::uint32_t interest = 0;
   if (!conn.paused && !conn.closing) interest |= EventLoop::kReadable;
   if (conn.out_off < conn.outbuf.size()) interest |= EventLoop::kWritable;
-  (void)loop_.modify(conn.sock.fd(), interest);
+  // Every flush lands here; most leave the interest set as it was (an ack
+  // written in full), and the epoll_ctl would be a wasted syscall.
+  // The cache moves only when the kernel took the new set, so a failed
+  // modify is retried on the next flush.
+  if (interest == conn.interest) return;
+  if (loop_.modify(conn.sock.fd(), interest).is_ok()) {
+    conn.interest = interest;
+    interest_updates_.add();
+  }
 }
 
 void PtmdServer::pause_reads(Conn& conn, std::uint64_t resume_after_ms) {

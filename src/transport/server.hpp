@@ -180,6 +180,7 @@ class PtmdServer {
     std::size_t out_off = 0;
     std::size_t pending_ingests = 0;
     bool paused = false;    ///< reads suspended (window or shed pause)
+    std::uint32_t interest = EventLoop::kReadable;  ///< as registered
     bool closing = false;   ///< flush outbuf, then close
     std::uint64_t last_activity_ms = 0;
     std::uint64_t id = 0;
@@ -220,14 +221,15 @@ class PtmdServer {
   /// Sends auth-reject(code) and schedules the close (flush-then-close);
   /// `conn` may be destroyed during the call.
   void reject_auth(Conn& conn, AuthRejectCode code);
-  void handle_frame(Conn& conn, const Frame& frame);
+  /// Queues an upload's ingest, moving its record into the job.
+  void handle_frame(Conn& conn, Frame&& frame);
   /// Answers a query-call or join-call inline or via the call worker.
   void handle_call(Conn& conn, WireMessage call);
   /// Stored bitmap bytes `call` is expected to read.
   [[nodiscard]] std::size_t call_cost_bytes(const WireMessage& call) const;
-  /// Runs `call` and encodes its reply (any thread).  A reply too large
-  /// for a frame - its size is the caller's to set - becomes an error
-  /// reply, since framing it would abort the daemon.
+  /// Runs `call` and encodes its reply as one stream frame (any thread).
+  /// A reply too large for a frame - its size is the caller's to set -
+  /// becomes an error reply, since framing it would abort the daemon.
   [[nodiscard]] std::vector<std::uint8_t> answer_call(
       const WireMessage& call) const;
   /// Opens (or restarts) a replication subscription on `conn` and begins
@@ -244,8 +246,11 @@ class PtmdServer {
                      std::uint64_t period, const TraceContext& trace,
                      const Status& status,
                      const std::optional<TrafficRecord>& forwarded);
+  /// The send_* calls append one frame to conn.outbuf and flush; a write
+  /// error destroys `conn` during the call.
   void send_message(Conn& conn, const WireMessage& message);
-  void send_payload(Conn& conn, std::span<const std::uint8_t> payload);
+  /// Sends an already-framed message (a call reply).
+  void send_framed(Conn& conn, std::vector<std::uint8_t> framed);
   void flush(Conn& conn);
   void update_interest(Conn& conn);
   void pause_reads(Conn& conn, std::uint64_t resume_after_ms);
@@ -296,6 +301,7 @@ class PtmdServer {
   Counter& auth_rejects_;     ///< transport_auth_rejects_total
   Counter& repl_records_;     ///< transport_repl_records_total
   Counter& calls_offloaded_;  ///< transport_calls_offloaded_total
+  Counter& interest_updates_; ///< transport_interest_updates_total
   Gauge& connections_;        ///< transport_connections
   Gauge& repl_subscribers_;   ///< transport_repl_subscribers
   Gauge& repl_lag_;           ///< transport_repl_lag (sent - acked)

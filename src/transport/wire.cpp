@@ -1,6 +1,7 @@
 #include "transport/wire.hpp"
 
 #include "common/serialize.hpp"
+#include "transport/framing.hpp"
 #include "transport/query_codec.hpp"
 
 namespace ptm::transport {
@@ -105,10 +106,15 @@ const char* wire_kind_name(WireKind kind) noexcept {
 
 std::vector<std::uint8_t> encode_wire_message(const WireMessage& message) {
   ByteWriter w;
+  encode_wire_message(w, message);
+  return w.take();
+}
+
+void encode_wire_message(ByteWriter& w, const WireMessage& message) {
   w.u8(static_cast<std::uint8_t>(wire_kind(message)));
   struct Visitor {
     ByteWriter& w;
-    void operator()(const Frame& f) const { w.raw(encode_frame(f)); }
+    void operator()(const Frame& f) const { encode_frame(w, f); }
     void operator()(const Heartbeat& h) const {
       w.u64(h.nonce);
       w.u64(h.send_unix_ns);
@@ -163,7 +169,12 @@ std::vector<std::uint8_t> encode_wire_message(const WireMessage& message) {
     }
   };
   std::visit(Visitor{w}, message);
-  return w.take();
+}
+
+void append_frame(ByteWriter& w, const WireMessage& message) {
+  const std::size_t prefix_at = open_frame(w);
+  encode_wire_message(w, message);
+  seal_frame(w, prefix_at);
 }
 
 namespace {

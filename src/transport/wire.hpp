@@ -76,6 +76,7 @@
 #include <vector>
 
 #include "common/deadline.hpp"
+#include "common/serialize.hpp"
 #include "common/status.hpp"
 #include "net/message.hpp"
 #include "query/query_types.hpp"
@@ -298,6 +299,14 @@ using WireMessage =
 /// stream framing adds the length).
 [[nodiscard]] std::vector<std::uint8_t> encode_wire_message(
     const WireMessage& message);
+/// Appends the same bytes to `w`, in one pass.
+void encode_wire_message(ByteWriter& w, const WireMessage& message);
+
+/// Appends `message` to `w` as one stream frame (framing.hpp): length
+/// prefix and encoded message, written once into `w`.  The one
+/// record-sized field, a bitmap, reserves its own room as it is written
+/// (Bitmap::serialize_into); every other field is a few bytes.
+void append_frame(ByteWriter& w, const WireMessage& message);
 
 /// Decodes one message; ParseError on unknown kind, truncation, or
 /// trailing bytes.

@@ -9,6 +9,10 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/random.hpp"
 #include "query/query_service.hpp"
@@ -492,6 +496,81 @@ TEST_F(ArchiveTest, AppendsAfterCompactLandInTheCompactedFile) {
   ASSERT_TRUE(reopened.has_value());
   EXPECT_EQ(reopened->periods_at(1), 2u);
   EXPECT_EQ(reopened->periods_at(9), 1u);
+}
+
+// A PTMRLOG1 record log written by the byte-at-a-time record codec: three
+// records, (7, 0) and (7, 1) at m = 64 and (9, 0) at m = 128.  Archives on
+// disk outlive the code that wrote them, so this file must keep opening,
+// restoring and re-encoding to exactly these bytes.
+constexpr std::string_view kRecordLogV1Hex =
+    "50544d524c4f4731240000000700000000000000000000000000000010000000"
+    "4000000000000000220000000000000048a9ed43240000000700000000000000"
+    "01000000000000001000000040000000000000000400000000000080a4bcf990"
+    "2c00000009000000000000000000000000000000180000008000000000000000"
+    "010000000000000000000000100000805312bc6b";
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST_F(ArchiveTest, LogWrittenByTheOldCodecRestoresByteIdentically) {
+  const auto golden = from_hex(kRecordLogV1Hex);
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(golden.data()),
+              static_cast<std::streamsize>(golden.size()));
+  }
+  std::vector<TrafficRecord> expected(3);
+  expected[0] = {7, 0, Bitmap(64)};
+  expected[0].bits.set(1);
+  expected[0].bits.set(5);
+  expected[1] = {7, 1, Bitmap(64)};
+  expected[1].bits.set(2);
+  expected[1].bits.set(63);
+  expected[2] = {9, 0, Bitmap(128)};
+  for (std::size_t bit : {0, 100, 127}) expected[2].bits.set(bit);
+
+  auto archive = RecordArchive::open(path_, {});
+  ASSERT_TRUE(archive.has_value()) << archive.status().to_string();
+  EXPECT_EQ(contents(*archive), expected);
+  // A byte-identical re-append of a stored record stays a no-op...
+  for (const TrafficRecord& rec : expected) {
+    EXPECT_TRUE(archive->append(rec).is_ok());
+  }
+  EXPECT_EQ(file_bytes(path_), golden);
+  // ...and a restore hands the service exactly the stored records.
+  QueryService service;
+  service.attach_durability(*archive);
+  auto restored = service.restore_from_archive();
+  ASSERT_TRUE(restored.has_value()) << restored.status().to_string();
+  EXPECT_EQ(*restored, 3u);
+  EXPECT_EQ(service.records_at_periods(7, std::vector<std::uint64_t>{0, 1}),
+            (std::vector<TrafficRecord>{expected[0], expected[1]}));
+  EXPECT_EQ(service.records_at_periods(9, std::vector<std::uint64_t>{0}),
+            (std::vector<TrafficRecord>{expected[2]}));
+
+  // The same records written today produce the same file.
+  const std::string rewritten = path_ + ".rewritten";
+  std::remove(rewritten.c_str());
+  {
+    auto writer = RecordLogWriter::open(rewritten);
+    ASSERT_TRUE(writer.has_value());
+    for (const TrafficRecord& rec : expected) {
+      ASSERT_TRUE(writer->append(rec).is_ok());
+    }
+  }
+  EXPECT_EQ(file_bytes(rewritten), golden);
+  std::remove(rewritten.c_str());
 }
 
 }  // namespace

@@ -28,6 +28,16 @@ class FramedLogTest : public ::testing::Test {
     return out;
   }
 
+  /// Opens (creating) the log at path_ and appends `entries` through the
+  /// one held-open descriptor.
+  void write_log(std::initializer_list<std::vector<std::uint8_t>> entries) {
+    auto log = FramedLogFile::open(path_, kMagic);
+    ASSERT_TRUE(log.has_value()) << log.status().to_string();
+    for (const auto& entry : entries) {
+      ASSERT_TRUE(log->append(entry).has_value());
+    }
+  }
+
   std::string path_;
   static int counter_;
 };
@@ -35,10 +45,7 @@ class FramedLogTest : public ::testing::Test {
 int FramedLogTest::counter_ = 0;
 
 TEST_F(FramedLogTest, CreateAppendReadRoundTrip) {
-  ASSERT_TRUE(framed_log_create(path_, kMagic).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({1, 2, 3})).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({})).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({9})).is_ok());
+  write_log({payload({1, 2, 3}), payload({}), payload({9})});
   const auto contents = read_framed_log(path_, kMagic);
   ASSERT_TRUE(contents.has_value());
   EXPECT_FALSE(contents->truncated_tail);
@@ -49,9 +56,9 @@ TEST_F(FramedLogTest, CreateAppendReadRoundTrip) {
 }
 
 TEST_F(FramedLogTest, CreateIsIdempotentButRejectsForeignFiles) {
-  ASSERT_TRUE(framed_log_create(path_, kMagic).is_ok());
-  EXPECT_TRUE(framed_log_create(path_, kMagic).is_ok());
-  EXPECT_EQ(framed_log_create(path_, kOtherMagic).code(),
+  ASSERT_TRUE(FramedLogFile::open(path_, kMagic).has_value());
+  EXPECT_TRUE(FramedLogFile::open(path_, kMagic).has_value());
+  EXPECT_EQ(FramedLogFile::open(path_, kOtherMagic).status().code(),
             ErrorCode::kFailedPrecondition);
   EXPECT_EQ(read_framed_log(path_, kOtherMagic).status().code(),
             ErrorCode::kParseError);
@@ -63,9 +70,7 @@ TEST_F(FramedLogTest, MissingFileIsNotFound) {
 }
 
 TEST_F(FramedLogTest, TornTailKeepsIntactPrefix) {
-  ASSERT_TRUE(framed_log_create(path_, kMagic).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({1, 2, 3, 4})).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({5, 6, 7, 8})).is_ok());
+  write_log({payload({1, 2, 3, 4}), payload({5, 6, 7, 8})});
   // Chop mid-way through the second entry's payload.
   std::ifstream in(path_, std::ios::binary | std::ios::ate);
   const auto size = static_cast<std::size_t>(in.tellg());
@@ -84,8 +89,7 @@ TEST_F(FramedLogTest, TornTailKeepsIntactPrefix) {
 }
 
 TEST_F(FramedLogTest, CrcCatchesCorruption) {
-  ASSERT_TRUE(framed_log_create(path_, kMagic).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({1, 2, 3, 4})).is_ok());
+  write_log({payload({1, 2, 3, 4})});
   std::fstream file(path_, std::ios::binary | std::ios::in | std::ios::out);
   file.seekp(13);  // inside the payload (8 magic + 4 length + offset 1)
   const char flip = 0x7f;
@@ -98,15 +102,20 @@ TEST_F(FramedLogTest, CrcCatchesCorruption) {
 }
 
 TEST_F(FramedLogTest, RewriteReplacesContentsAtomically) {
-  ASSERT_TRUE(framed_log_create(path_, kMagic).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({1})).is_ok());
-  ASSERT_TRUE(framed_log_append(path_, payload({2})).is_ok());
+  write_log({payload({1}), payload({2})});
   const std::vector<std::vector<std::uint8_t>> fresh = {payload({42})};
-  ASSERT_TRUE(framed_log_rewrite(path_, kMagic, fresh).is_ok());
+  auto rewritten = framed_log_rewrite(path_, kMagic, fresh);
+  ASSERT_TRUE(rewritten.has_value());
   const auto contents = read_framed_log(path_, kMagic);
   ASSERT_TRUE(contents.has_value());
   ASSERT_EQ(contents->entries.size(), 1u);
   EXPECT_EQ(contents->entries[0], payload({42}));
+  // The returned file appends to the rewritten log at the same path.
+  ASSERT_TRUE(rewritten->append(payload({43})).has_value());
+  const auto appended = read_framed_log(path_, kMagic);
+  ASSERT_TRUE(appended.has_value());
+  ASSERT_EQ(appended->entries.size(), 2u);
+  EXPECT_EQ(appended->entries[1], payload({43}));
   // The temp file must not linger after a successful rewrite.
   std::ifstream temp(path_ + ".rewrite", std::ios::binary);
   EXPECT_FALSE(temp.good());

@@ -7,6 +7,7 @@
 #include "common/bitmap.hpp"
 #include "common/crc32.hpp"
 #include "common/random.hpp"
+#include "common/serialize.hpp"
 #include "core/traffic_record.hpp"
 #include "crypto/certificate.hpp"
 #include "crypto/rsa.hpp"
@@ -71,6 +72,21 @@ TEST(Fuzz, BitmapDeserializeRejectsStrayTailBits) {
   }
 }
 
+TEST(Fuzz, BitmapDeserializeRejectsBitCountsNearTheTopOfU64) {
+  // A header alone claiming 2^64 - k bits: rounding that up to words must
+  // not wrap to zero words and accept a bitmap with no storage.
+  for (std::uint64_t k = 1; k <= 64; ++k) {
+    const std::uint64_t bit_count = ~std::uint64_t{0} - (k - 1);
+    std::vector<std::uint8_t> header(8);
+    for (int i = 0; i < 8; ++i) {
+      header[i] = static_cast<std::uint8_t>(bit_count >> (8 * i));
+    }
+    EXPECT_EQ(Bitmap::deserialize(header).status().code(),
+              ErrorCode::kParseError)
+        << bit_count;
+  }
+}
+
 TEST(Fuzz, TrafficRecordDeserializeNeverCrashes) {
   Xoshiro256 rng(2);
   for (int i = 0; i < 5000; ++i) {
@@ -79,6 +95,62 @@ TEST(Fuzz, TrafficRecordDeserializeNeverCrashes) {
     if (result) {
       EXPECT_TRUE(result->validate().is_ok());
     }
+  }
+}
+
+TEST(Fuzz, RecordDecodeRejectsBlobLengthsPastTheRemainingBytes) {
+  // The record decoder reads the bitmap as a view into its input: every
+  // blob length that overruns the input, by one byte or by gigabytes, is
+  // a ParseError, and no shorter lie is ever accepted either.
+  TrafficRecord rec{11, 12, Bitmap(256)};
+  rec.bits.set(200);
+  const auto good = rec.serialize();
+  Xoshiro256 rng(0x5EC7);
+  for (int i = 0; i < 2000; ++i) {
+    auto bad = good;
+    const std::uint32_t honest = static_cast<std::uint32_t>(good.size() - 20);
+    std::uint32_t lie = static_cast<std::uint32_t>(rng.next());
+    if (i % 2 == 0) lie = honest + 1 + static_cast<std::uint32_t>(rng.below(64));
+    if (lie == honest) continue;
+    for (int b = 0; b < 4; ++b) {
+      bad[16 + b] = static_cast<std::uint8_t>(lie >> (8 * b));
+    }
+    const auto result = TrafficRecord::deserialize(bad);
+    ASSERT_FALSE(result.has_value()) << lie;
+    EXPECT_EQ(result.status().code(), ErrorCode::kParseError);
+  }
+  // Truncated bitmap header: fewer than 8 bytes of bit count.
+  for (std::size_t header = 0; header < 8; ++header) {
+    ByteWriter w;
+    w.u64(rec.location);
+    w.u64(rec.period);
+    w.bytes(std::span<const std::uint8_t>(good.data() + 20, header));
+    EXPECT_EQ(TrafficRecord::deserialize(w.buffer()).status().code(),
+              ErrorCode::kParseError)
+        << header;
+  }
+  // Stray tail bits in a record's last word (m = 32, bits 32-63 slack).
+  for (std::size_t stray_bit = 32; stray_bit < 64; stray_bit += 7) {
+    TrafficRecord narrow{1, 2, Bitmap(32)};
+    auto bytes = narrow.serialize();
+    bytes[bytes.size() - 8 + stray_bit / 8] |=
+        static_cast<std::uint8_t>(1u << (stray_bit % 8));
+    EXPECT_EQ(TrafficRecord::deserialize(bytes).status().code(),
+              ErrorCode::kParseError)
+        << stray_bit;
+  }
+  // And the same lies one layer out, in a RecordUpload frame's body.
+  const auto frame = encode_frame(
+      Frame{MacAddress{1}, MacAddress{2}, RecordUpload{rec}, {}});
+  ASSERT_TRUE(decode_frame(frame).has_value());
+  for (std::size_t at : {33u, 37u}) {  // body length, record blob length
+    auto bad = frame;
+    const std::uint32_t lie = static_cast<std::uint32_t>(frame.size() - at);
+    for (int b = 0; b < 4; ++b) {
+      bad[at + b] = static_cast<std::uint8_t>(lie >> (8 * b));
+    }
+    EXPECT_EQ(decode_frame(bad).status().code(), ErrorCode::kParseError)
+        << at;
   }
 }
 

@@ -94,6 +94,38 @@ TEST_F(JournalTest, TornTailCostsAtMostTheFinalEncode) {
   EXPECT_EQ(replayed->encode_indices, std::vector<std::uint64_t>{10});
 }
 
+TEST_F(JournalTest, EncodesAfterATornTailSurviveTheNextReopen) {
+  {
+    auto journal = RsuJournal::open(path_);
+    ASSERT_TRUE(journal.has_value());
+    ASSERT_TRUE(journal->begin_period(7, 3, 1024).is_ok());
+    ASSERT_TRUE(journal->record_encode(1).is_ok());
+    ASSERT_TRUE(journal->record_encode(2).is_ok());
+  }
+  // Crash mid-append: six bytes of a length prefix and a partial payload.
+  std::ofstream(path_, std::ios::binary | std::ios::app)
+      .write("\x09\x00\x00\x00\x02\x03", 6);
+  {
+    auto journal = RsuJournal::open(path_);
+    ASSERT_TRUE(journal.has_value());
+    ASSERT_TRUE(journal->replayed().has_value());
+    EXPECT_EQ(journal->replayed()->encode_indices,
+              (std::vector<std::uint64_t>{1, 2}));
+    // These land after the torn bytes unless open healed them.
+    ASSERT_TRUE(journal->record_encode(3).is_ok());
+    ASSERT_TRUE(journal->record_encode(4).is_ok());
+  }
+  auto reopened = RsuJournal::open(path_);
+  ASSERT_TRUE(reopened.has_value());
+  const auto& replayed = reopened->replayed();
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_EQ(replayed->location, 7u);
+  EXPECT_EQ(replayed->period, 3u);
+  EXPECT_EQ(replayed->bitmap_size, 1024u);
+  EXPECT_EQ(replayed->encode_indices,
+            (std::vector<std::uint64_t>{1, 2, 3, 4}));
+}
+
 TEST_F(JournalTest, RejectsForeignFiles) {
   {
     std::ofstream out(path_, std::ios::binary);

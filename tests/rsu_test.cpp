@@ -215,6 +215,35 @@ TEST_F(RsuTest, OutboxSurvivesCrashAndAckClearsIt) {
   EXPECT_FALSE(rsu.handle_upload_ack(UploadAck{8, 0}).is_ok());
 }
 
+TEST_F(RsuTest, OutboxOpsAfterAFailedRestartReachTheLiveFile) {
+  Rsu rsu = make_rsu(7, 512);
+  ASSERT_TRUE(rsu.attach_durability(journal_path_, outbox_path_).is_ok());
+  encode(rsu, 5);
+  ASSERT_TRUE(rsu.stage_upload().is_ok());
+  // The restart compacts the outbox into a fresh file, then fails on a
+  // journal that is no longer a journal.
+  {
+    std::FILE* f = std::fopen(journal_path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a journal", f);
+    std::fclose(f);
+  }
+  EXPECT_EQ(rsu.crash_and_restart().code(), ErrorCode::kFailedPrecondition);
+
+  // Later outbox ops must land in the compacted file, not the old inode.
+  ASSERT_TRUE(rsu.handle_upload_ack(UploadAck{7, 0}).is_ok());
+  rsu.start_next_period(512);
+  encode(rsu, 9);
+  ASSERT_TRUE(rsu.stage_upload().is_ok());
+
+  std::remove(journal_path_.c_str());
+  Rsu next = make_rsu(7, 512);
+  ASSERT_TRUE(next.attach_durability(journal_path_, outbox_path_).is_ok());
+  EXPECT_FALSE(next.outbox().contains(7, 0));
+  ASSERT_TRUE(next.outbox().contains(7, 1));
+  EXPECT_TRUE(next.outbox().find(7, 1)->record.bits.test(9));
+}
+
 TEST_F(RsuTest, AttachAdoptsExistingJournalFromPriorIncarnation) {
   {
     Rsu first = make_rsu(7, 256);

@@ -4,10 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/math.hpp"
 
 namespace ptm {
 namespace {
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
 
 TEST(TrafficRecord, ValidateAcceptsPowerOfTwo) {
   TrafficRecord rec;
@@ -68,6 +81,27 @@ TEST(TrafficRecord, DeserializeRejectsTrailingBytes) {
   bytes.push_back(0);
   EXPECT_EQ(TrafficRecord::deserialize(bytes).status().code(),
             ErrorCode::kParseError);
+}
+
+// The record encoding is a storage and wire format: these bytes were
+// written by the byte-at-a-time codec and must never move.
+TEST(TrafficRecord, SerializedBytesArePinned) {
+  TrafficRecord rec;
+  rec.location = 0x0102030405060708ULL;
+  rec.period = 42;
+  rec.bits = Bitmap(128);
+  for (std::size_t bit : {0, 1, 63, 64, 127}) rec.bits.set(bit);
+  const auto golden = from_hex(
+      "0807060504030201"                  // location
+      "2a00000000000000"                  // period
+      "18000000"                          // bitmap blob length
+      "8000000000000000"                  // bit count 128
+      "0300000000000080"                  // word 0: bits 0, 1, 63
+      "0100000000000080");                // word 1: bits 64, 127
+  EXPECT_EQ(rec.serialize(), golden);
+  const auto decoded = TrafficRecord::deserialize(golden);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  EXPECT_EQ(*decoded, rec);
 }
 
 TEST(PlanBitmapSize, MatchesEq2) {

@@ -20,6 +20,7 @@
 
 #include "common/env.hpp"
 #include "common/random.hpp"
+#include "common/serialize.hpp"
 #include "core/traffic_record.hpp"
 #include "crypto/certificate.hpp"
 #include "crypto/rsa.hpp"
@@ -411,6 +412,99 @@ TEST(TransportFuzzTest, MutatedRecordBlobsInsideReplEnvelopesFailCleanly) {
       EXPECT_TRUE(record->validate().is_ok());
     }
   }
+}
+
+/// A kind-1 RecordUpload envelope around `record_blob`, whose nested
+/// lengths are then free to lie (see the offsets below).
+std::vector<std::uint8_t> upload_envelope(
+    const std::vector<std::uint8_t>& record_blob) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(WireKind::kV2IFrame));
+  w.u8(static_cast<std::uint8_t>(MessageType::kRecordUpload));
+  for (int i = 0; i < 4; ++i) w.u64(0x1000 + i);  // src, dst, trace
+  w.u32(static_cast<std::uint32_t>(4 + record_blob.size()));  // body
+  w.bytes(record_blob);
+  return w.take();
+}
+
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// Decodes `payload` both directly and as one stream frame; both must
+/// agree on a clean ParseError.
+void rejected_as_parse_error(const std::vector<std::uint8_t>& payload,
+                             const std::string& what) {
+  const auto direct = decode_wire_message(payload);
+  ASSERT_FALSE(direct.has_value()) << what;
+  EXPECT_EQ(direct.status().code(), ErrorCode::kParseError) << what;
+  StreamDecoder decoder;
+  decoder.feed(frame_payload(payload));
+  auto next = decoder.next();
+  ASSERT_TRUE(next.has_value() && next->has_value()) << what;
+  const auto framed = decode_wire_message(**next);
+  ASSERT_FALSE(framed.has_value()) << what;
+  EXPECT_EQ(framed.status().code(), ErrorCode::kParseError) << what;
+}
+
+TEST(TransportFuzzTest, ViewDecodeRejectsLyingLengthsAndMalformedBitmaps) {
+  // Decoders hand out views into the frame they read; a length that runs
+  // past the remaining bytes must be caught before any view is formed.
+  TrafficRecord rec;
+  rec.location = 3;
+  rec.period = 4;
+  rec.bits = Bitmap(128);
+  rec.bits.set(77);
+  const auto record = rec.serialize();
+  const auto good = upload_envelope(record);
+  ASSERT_TRUE(decode_wire_message(good).has_value());
+  // Offsets in the envelope: frame body length at 34, record blob length
+  // at 38, bitmap blob length at 38 + 4 + 16.
+  for (std::size_t at : {34u, 38u, 58u}) {
+    const std::size_t remaining = good.size() - at - 4;
+    for (std::uint64_t lie :
+         {std::uint64_t{remaining} + 1, std::uint64_t{remaining} + 4096,
+          std::uint64_t{0x7FFFFFFF}, std::uint64_t{0xFFFFFFFF}}) {
+      auto bad = good;
+      put_u32(bad, at, static_cast<std::uint32_t>(lie));
+      rejected_as_parse_error(bad, "length at " + std::to_string(at) +
+                                       " = " + std::to_string(lie));
+    }
+  }
+  // A bitmap blob shorter than its own 8-byte bit-count header.
+  for (std::size_t header = 0; header < 8; ++header) {
+    ByteWriter blob;
+    blob.u64(rec.location);
+    blob.u64(rec.period);
+    blob.bytes(std::vector<std::uint8_t>(record.begin() + 20,
+                                         record.begin() + 20 +
+                                             static_cast<long>(header)));
+    rejected_as_parse_error(upload_envelope(blob.take()),
+                            "bitmap header of " + std::to_string(header));
+  }
+  // One-bits past bit_count in the last word: 32-bit record, bit 40 set.
+  TrafficRecord narrow{5, 6, Bitmap(32)};
+  narrow.bits.set(31);
+  auto stray = narrow.serialize();
+  stray[stray.size() - 8 + 5] |= 0x01;  // bit 40
+  rejected_as_parse_error(upload_envelope(stray), "stray tail bit");
+  // The same bitmap as a join-reply's bitmap.
+  ByteWriter join;
+  join.u8(static_cast<std::uint8_t>(WireKind::kJoinReply));
+  join.u64(1);                                    // correlation id
+  join.u8(0);                                     // status ok
+  join.u32(0);                                    // empty message
+  join.u32(1);                                    // one present period
+  join.u64(6);
+  join.bytes(std::vector<std::uint8_t>(stray.begin() + 20, stray.end()));
+  rejected_as_parse_error(join.take(), "stray tail bit in a join");
+  // A repl-record whose blob length runs past the payload.
+  auto repl = encode_wire_message(ReplRecord{1, record});
+  put_u32(repl, 9, static_cast<std::uint32_t>(record.size() + 1));
+  rejected_as_parse_error(repl, "repl-record blob past the payload");
 }
 
 class FaultInjectorTest : public ::testing::Test {

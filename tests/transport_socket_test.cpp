@@ -127,6 +127,25 @@ TEST_F(PtmdServerTest, PingMeasuresHeartbeatRtt) {
   server.stop();
 }
 
+TEST_F(PtmdServerTest, RepliesThatDrainAtOnceCostNoEpollModify) {
+  // Each heartbeat-ack is written in full inside its flush, so the
+  // connection's interest set (readable) never changes and the loop must
+  // not re-register it: one epoll_ctl per reply was pure overhead.
+  PtmdServer server(base_options("interest"));
+  ASSERT_TRUE(server.start().is_ok());
+  Counter& updates =
+      server.telemetry().counter("transport_interest_updates_total");
+  SupervisedConnection conn(server.options().endpoint, fast_tuning());
+  ASSERT_TRUE(conn.ensure_connected(Deadline::after(2s)).is_ok());
+  const std::uint64_t before = updates.value();
+  constexpr int kPings = 50;
+  for (int i = 0; i < kPings; ++i) {
+    ASSERT_TRUE(conn.ping().has_value());
+  }
+  EXPECT_LT(updates.value() - before, 5u);
+  server.stop();
+}
+
 TEST_F(PtmdServerTest, UplinkDeliveryAcksAndDedupes) {
   PtmdServer server(base_options("uplink"));
   ASSERT_TRUE(server.start().is_ok());

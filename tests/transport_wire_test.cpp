@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/traffic_record.hpp"
@@ -30,6 +33,119 @@ TrafficRecord make_record(std::uint64_t location, std::uint64_t period) {
   rec.bits.set(3);
   rec.bits.set(17);
   return rec;
+}
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoul(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// The record inside every pinned message below.
+TrafficRecord pinned_record() {
+  TrafficRecord rec;
+  rec.location = 0x0102030405060708ULL;
+  rec.period = 42;
+  rec.bits = Bitmap(128);
+  for (std::size_t bit : {0, 1, 63, 64, 127}) rec.bits.set(bit);
+  return rec;
+}
+
+constexpr std::string_view kPinnedRecordHex =
+    "08070605040302012a00000000000000180000008000000000000000"
+    "03000000000000800100000000000080";
+
+/// Feeds `framed` to a fresh stream decoder and decodes the one message.
+Result<WireMessage> decode_stream(const std::vector<std::uint8_t>& framed) {
+  StreamDecoder decoder;
+  decoder.feed(framed);
+  auto next = decoder.next();
+  if (!next) return next.status();
+  if (!next->has_value()) return Status{ErrorCode::kParseError, "partial"};
+  return decode_wire_message(**next);
+}
+
+/// The bytes the senders put on the stream: SupervisedConnection::send and
+/// ptmd's send_message both frame a message with append_frame, the latter
+/// behind output already queued on the connection.
+std::vector<std::uint8_t> sent_bytes(const WireMessage& message) {
+  const std::vector<std::uint8_t> queued = {0xEE, 0xEE};
+  ByteWriter w(queued);
+  append_frame(w, message);
+  std::vector<std::uint8_t> out = w.take();
+  EXPECT_TRUE(std::equal(queued.begin(), queued.end(), out.begin()));
+  out.erase(out.begin(), out.begin() + 2);
+  return out;
+}
+
+// Golden stream bytes (u32 length prefix included) written by the
+// byte-at-a-time codec: the encoders may get faster, the bytes may not move.
+TEST(TransportWireTest, RecordUploadFrameBytesArePinned) {
+  Frame frame{MacAddress{0x0A0B}, MacAddress{0x0C0D},
+              RecordUpload{pinned_record()}, {}};
+  frame.trace = TraceContext{0x1111222233334444ULL, 0x5555666677778888ULL};
+  const auto golden = from_hex(
+      std::string("56000000"            // stream prefix
+                  "01"                  // kind v2i-frame
+                  "06"                  // frame type RecordUpload
+                  "0b0a000000000000"    // src
+                  "0d0c000000000000"    // dst
+                  "4444333322221111"    // trace id
+                  "8888777766665555"    // span id
+                  "30000000"            // body length
+                  "2c000000") +         // record blob length
+      std::string(kPinnedRecordHex));
+  EXPECT_EQ(frame_payload(encode_wire_message(frame)), golden);
+  EXPECT_EQ(sent_bytes(frame), golden);
+  const auto decoded = decode_stream(golden);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  const auto& got = std::get<Frame>(*decoded);
+  EXPECT_EQ(got.src, frame.src);
+  EXPECT_EQ(got.dst, frame.dst);
+  EXPECT_EQ(got.trace, frame.trace);
+  EXPECT_EQ(std::get<RecordUpload>(got.body).record, pinned_record());
+}
+
+TEST(TransportWireTest, ReplRecordBytesArePinned) {
+  const auto golden = from_hex(std::string("39000000"          // prefix
+                                           "0d"                // kind
+                                           "0700000000000000"  // seq
+                                           "2c000000") +       // blob len
+                               std::string(kPinnedRecordHex));
+  const ReplRecord rec{7, pinned_record().serialize()};
+  EXPECT_EQ(frame_payload(encode_wire_message(rec)), golden);
+  EXPECT_EQ(sent_bytes(rec), golden);
+  const auto decoded = decode_stream(golden);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  EXPECT_EQ(std::get<ReplRecord>(*decoded), rec);
+}
+
+TEST(TransportWireTest, JoinReplyBytesArePinned) {
+  LocationJoin join;
+  join.present = {3, 4};
+  join.join = Bitmap(64);
+  for (std::size_t bit : {0, 9, 63}) join.join.set(bit);
+  const auto golden = from_hex(
+      "36000000"            // prefix
+      "16"                  // kind join-reply
+      "0500000000000000"    // correlation id
+      "00" "00000000"       // status ok, empty message
+      "02000000" "0300000000000000" "0400000000000000"  // present
+      "10000000"            // bitmap blob length
+      "4000000000000000"    // bit count 64
+      "0102000000000080");  // bits 0, 9, 63
+  EXPECT_EQ(frame_payload(encode_wire_message(JoinReply{5, join})), golden);
+  EXPECT_EQ(sent_bytes(JoinReply{5, join}), golden);
+  const auto decoded = decode_stream(golden);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  const auto& got = std::get<JoinReply>(*decoded);
+  EXPECT_EQ(got.correlation_id, 5u);
+  EXPECT_TRUE(got.join.status.is_ok());
+  EXPECT_EQ(got.join.present, join.present);
+  EXPECT_EQ(got.join.join, join.join);
 }
 
 TEST(TransportWireTest, HeartbeatRoundTrip) {
@@ -436,7 +552,7 @@ TEST(TransportFramingTest, FramesRoundTripByteAtATime) {
       auto next = decoder.next();
       ASSERT_TRUE(next.has_value());
       if (!next->has_value()) break;
-      out.push_back(**next);
+      out.emplace_back((*next)->begin(), (*next)->end());
     }
   }
   ASSERT_EQ(out.size(), 2u);
@@ -458,7 +574,31 @@ TEST(TransportFramingTest, PartialFrameYieldsNothing) {
   next = decoder.next();
   ASSERT_TRUE(next.has_value());
   ASSERT_TRUE(next->has_value());
-  EXPECT_EQ(**next, payload);
+  EXPECT_EQ(std::vector<std::uint8_t>((*next)->begin(), (*next)->end()),
+            payload);
+}
+
+TEST(TransportFramingTest, ViewsStayValidUntilTheNextFeed) {
+  // Frames handed out by one drain all view the decoder's buffer; none
+  // moves until bytes are fed again.
+  const auto p1 = encode_wire_message(Heartbeat{1, 11});
+  const auto p2 = encode_wire_message(StatsResponse{std::string(300, 'v')});
+  std::vector<std::uint8_t> stream = frame_payload(p1);
+  const auto f2 = frame_payload(p2);
+  stream.insert(stream.end(), f2.begin(), f2.end());
+  StreamDecoder decoder;
+  decoder.feed(stream);
+  auto first = decoder.next();
+  auto second = decoder.next();
+  ASSERT_TRUE(first.has_value() && first->has_value());
+  ASSERT_TRUE(second.has_value() && second->has_value());
+  EXPECT_EQ(std::vector<std::uint8_t>((*first)->begin(), (*first)->end()),
+            p1);
+  EXPECT_EQ(std::vector<std::uint8_t>((*second)->begin(), (*second)->end()),
+            p2);
+  auto third = decoder.next();
+  ASSERT_TRUE(third.has_value());
+  EXPECT_FALSE(third->has_value());
 }
 
 TEST(TransportFramingTest, OversizeLengthPoisonsStream) {
